@@ -1,15 +1,17 @@
 """Boson-sampling distributions and the concentration machinery behind their flatness.
 
-Distributions are exact (permanent-based) over the full mode-occupation
-sample space at desk scale; the tail/concentration bounds are evaluated as
-fully explicit formulas.
+Distributions are exact over the full mode-occupation sample space at desk
+scale, from one batched subset-sum Ryser kernel per instance; the
+tail/concentration bounds are evaluated as fully explicit formulas.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +19,9 @@ from scipy.special import erfc
 
 from .distvec import ProbVec
 from .errors import InvalidParameterError, ResourceLimitError, MAX_OUTCOMES
-from .rng import stream_rng
+from .rng import as_rng, stream_rng
+
+_CHUNK_ENTRIES = 1 << 16  # subset sums gathered per chunk of the batched Ryser kernel: 1 MB of scratch
 
 
 @dataclass(frozen=True)
@@ -89,38 +93,57 @@ class BosonInstance:
         return BosonInstance(n=int(data["n"]), m=m, U=U)
 
 
+class OutcomeSpace(Sequence):
+    """Phi, or its collision-free subset (empty if n > m), in largest-first-mode order, stored as
+    the sorted photon -> mode rows that itertools' combinations yield; outcomes are built on read."""
+
+    def __init__(self, m: int, n: int, collision_free_only: bool = False):
+        if m < 1 or n < 0:
+            raise InvalidParameterError("need m >= 1 and n >= 0")
+        pick = itertools.combinations if collision_free_only else itertools.combinations_with_replacement
+        size = math.comb(m, n) if collision_free_only else math.comb(m + n - 1, n)
+        if size > MAX_OUTCOMES:
+            raise ResourceLimitError(f"|Phi| = {size} exceeds the cap of {MAX_OUTCOMES}")
+        flat = itertools.chain.from_iterable(pick(range(m), n))
+        self.m, self.rows = m, np.fromiter(flat, np.min_scalar_type(m - 1), size * n).reshape(size, n)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> ModeOccupation:
+        return ModeOccupation(tuple(np.bincount(self.rows[i], minlength=self.m)))
+
+
 def enumerate_phi(m: int, n: int, collision_free_only: bool = False) -> list[ModeOccupation]:
-    """All length-m occupation sequences summing to n, largest-first-mode order.
+    """All length-m occupation sequences summing to n (see OutcomeSpace), as a list."""
+    return list(OutcomeSpace(m, n, collision_free_only))
 
-    |Phi| = C(m+n-1, n); the collision-free subset has size C(m, n) and is
-    empty (not an error) when n > m.
-    """
-    if m < 1 or n < 0:
-        raise InvalidParameterError("need m >= 1 and n >= 0")
-    out: list[ModeOccupation] = []
 
-    def rec(prefix, remaining_modes, remaining_photons):
-        if remaining_modes == 1:
-            out.append(ModeOccupation(prefix + (remaining_photons,)))
-            return
-        top = min(remaining_photons, 1) if collision_free_only else remaining_photons
-        for k in range(top, -1, -1):
-            if collision_free_only and remaining_photons - k > remaining_modes - 1:
-                continue
-            rec(prefix + (k,), remaining_modes - 1, remaining_photons - k)
+@functools.cache
+def _subsets(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (2^n - 1, n) 0/1 mask of the non-empty column subsets S, and their signs (-1)^(n - |S|)."""
+    if 2**n - 1 > MAX_OUTCOMES:  # the mask and the row sums each take 16 n 2^n bytes
+        raise ResourceLimitError(f"the 2^{n} - 1 column subsets exceed the cap of {MAX_OUTCOMES}")
+    mask = ((np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1).astype(np.complex128)
+    sign = (-1.0) ** (n - mask.real.sum(axis=1)) + 0j
+    mask.flags.writeable = sign.flags.writeable = False
+    return mask, sign
 
-    if collision_free_only and n > m:
-        return []
-    rec((), m, n)
-    return out
+
+def _ryser(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Perm(cols[r]) for each index row r: sum_S sign_S prod_i sums[r_i, S], sums = cols @ mask.T."""
+    mask, sign = _subsets(cols.shape[1])
+    sums = cols @ mask.T
+    step = max(1, _CHUNK_ENTRIES // mask.size)
+    return np.concatenate([sums[rows[i : i + step]].prod(axis=1) @ sign for i in range(0, len(rows), step)])
 
 
 def permanent(x: np.ndarray, method: str = "ryser") -> complex:
     """Permanent of a square matrix.
 
     'naive' sums over all n! permutations (the definition; oracle use only),
-    'ryser' is the O(n 2^n) inclusion-exclusion formula with Gray-code
-    updates of the running row sums.
+    'ryser' is the O(n 2^n) inclusion-exclusion formula, evaluated by the
+    subset-sum kernel that `boson_distribution` uses.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
@@ -128,7 +151,7 @@ def permanent(x: np.ndarray, method: str = "ryser") -> complex:
     if method == "naive":
         return _permanent_naive(x)
     if method == "ryser":
-        return _permanent_ryser(x)
+        return complex(_ryser(x, np.arange(len(x))[None, :])[0]) if len(x) else complex(1.0)
     raise InvalidParameterError(f"unknown method {method!r}")
 
 
@@ -141,26 +164,6 @@ def _permanent_naive(x: np.ndarray) -> complex:
     return complex(total)
 
 
-def _permanent_ryser(x: np.ndarray) -> complex:
-    n = x.shape[0]
-    if n == 0:
-        return complex(1.0)
-    rowsums = np.zeros(n, dtype=np.complex128)
-    total = 0.0 + 0.0j
-    size = 0
-    for k in range(1, 2**n):
-        bit = (k & -k).bit_length() - 1  # index flipped by the Gray code
-        if ((k ^ (k >> 1)) >> bit) & 1:
-            rowsums += x[bit]
-            size += 1
-        else:
-            rowsums -= x[bit]
-            size -= 1
-        sign = -1.0 if size % 2 else 1.0
-        total += sign * np.prod(rowsums)
-    return complex(total * (-1.0 if n % 2 else 1.0))
-
-
 def submatrix(inst: BosonInstance, occ: ModeOccupation) -> np.ndarray:
     """U_S: first n columns of U, then s_j copies of row j, in mode order."""
     if occ.m != inst.m or occ.n != inst.n:
@@ -169,27 +172,23 @@ def submatrix(inst: BosonInstance, occ: ModeOccupation) -> np.ndarray:
     return np.repeat(cols, occ.s, axis=0)
 
 
-def boson_distribution(inst: BosonInstance) -> tuple[ProbVec, list[ModeOccupation]]:
-    """Exact output distribution P(S) = |Perm(U_S)|^2 / prod_j s_j! over all of Phi."""
-    size = math.comb(inst.m + inst.n - 1, inst.n)
-    if size > MAX_OUTCOMES:
-        raise ResourceLimitError(f"|Phi| = {size} exceeds the cap of {MAX_OUTCOMES}")
-    outcomes = enumerate_phi(inst.m, inst.n)
-    probs = np.empty(len(outcomes))
-    for i, occ in enumerate(outcomes):
-        us = submatrix(inst, occ)
-        denom = 1.0
-        for sj in occ.s:
-            denom *= math.factorial(sj)
-        probs[i] = abs(_permanent_ryser(us)) ** 2 / denom
-    return ProbVec(probs), outcomes
+def boson_distribution(inst: BosonInstance) -> tuple[ProbVec, OutcomeSpace]:
+    """Exact output distribution P(S) = |Perm(U_S)|^2 / prod_j s_j! over all of Phi.
+
+    U_S stacks rows of U, so one batched Ryser pass over Phi's index rows serves every S.
+    """
+    outcomes = OutcomeSpace(inst.m, inst.n)
+    rows, denom = outcomes.rows, np.ones(len(outcomes))
+    for k in range(1, inst.n):  # prod_j s_j! = prod_k (1 + earlier photons in photon k's mode)
+        denom *= 1 + np.count_nonzero(rows[:, :k] == rows[:, k, None], axis=1)
+    return ProbVec(np.abs(_ryser(inst.U[:, : inst.n], rows)) ** 2 / denom), outcomes
 
 
 def collision_weight(inst: BosonInstance) -> float:
     """Probability weight outside the collision-free subspace."""
     p, outcomes = boson_distribution(inst)
-    mask = np.array([not occ.collision_free for occ in outcomes])
-    return float(math.fsum(p.entries[mask].tolist()))
+    colliding = np.any(outcomes.rows[:, 1:] == outcomes.rows[:, :-1], axis=1)
+    return float(math.fsum(p.entries[colliding].tolist()))
 
 
 def gaussian_repeated_sample(s, n: int, sigma: float, seed_or_rng) -> np.ndarray:
@@ -205,7 +204,7 @@ def gaussian_repeated_sample(s, n: int, sigma: float, seed_or_rng) -> np.ndarray
     if occ.n != n:
         raise InvalidParameterError("occupation must sum to n")
     tilde = [x for x in occ.s if x > 0]
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else stream_rng(int(seed_or_rng))
+    rng = as_rng(seed_or_rng)
     base = sigma * (rng.standard_normal((len(tilde), n)) + 1j * rng.standard_normal((len(tilde), n)))
     return np.repeat(base, tilde, axis=0)
 

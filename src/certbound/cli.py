@@ -203,6 +203,8 @@ def cmd_anticoncentration(args):
 def cmd_certify(args):
     target = _load_dist(args.target)
     samples = json.loads(Path(args.samples).read_text())
+    if not isinstance(samples, list):
+        raise InvalidParameterError(f"{args.samples} must hold a JSON array of outcome indices")
     cfg = TesterConfig(
         eps=args.eps, samples=len(samples), calibration_runs=args.calibration_runs, seed=args.seed
     )
@@ -251,6 +253,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise InvalidParameterError("--config needs a file path")
     path = Path(argv[i + 1])
     rest = argv[:i] + argv[i + 2 :]
     injected: list[str] = []

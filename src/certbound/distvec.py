@@ -89,6 +89,8 @@ class ProbVec:
     def from_bytes(blob: bytes) -> "ProbVec":
         if blob[:5] != _MAGIC:
             raise InvalidParameterError("bad magic; not a PVEC1 blob")
+        if len(blob) < 13:
+            raise InvalidParameterError("PVEC1 blob shorter than its 13-byte header")
         (length,) = struct.unpack("<Q", blob[5:13])
         arr = np.frombuffer(blob[13:], dtype="<f8")
         if arr.size != length:

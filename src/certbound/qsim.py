@@ -15,7 +15,7 @@ import numpy as np
 
 from .distvec import ProbVec
 from .errors import InvalidParameterError, ResourceLimitError, MAX_QUBITS
-from .rng import stream_rng
+from .rng import as_rng, stream_rng
 
 DEFAULT_ANGLE_SET = tuple(k * math.pi / 8 for k in range(8))
 
@@ -113,12 +113,6 @@ def _check_qubits(n: int, max_qubits: int = MAX_QUBITS):
         raise ResourceLimitError(f"n = {n} exceeds the configured maximum of {max_qubits} qubits")
 
 
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return stream_rng(int(seed_or_rng))
-
-
 def fwht(a: np.ndarray) -> np.ndarray:
     """In-place-free fast Walsh-Hadamard transform (unnormalized)."""
     a = a.copy()
@@ -168,7 +162,7 @@ def haar_unitary(d: int, seed_or_rng) -> np.ndarray:
     """
     if d < 1:
         raise InvalidParameterError("d must be >= 1")
-    rng = _as_rng(seed_or_rng)
+    rng = as_rng(seed_or_rng)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
@@ -183,7 +177,7 @@ def haar_state_distribution(n: int, seed_or_rng) -> ProbVec:
     same distribution as the first column of a Haar unitary.
     """
     _check_qubits(n)
-    rng = _as_rng(seed_or_rng)
+    rng = as_rng(seed_or_rng)
     dim = 2**n
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     probs = np.abs(psi) ** 2
@@ -195,7 +189,7 @@ def local_random_circuit_distribution(n: int, depth: int, seed_or_rng) -> ProbVe
     _check_qubits(n)
     if depth < 0:
         raise InvalidParameterError("depth must be >= 0")
-    rng = _as_rng(seed_or_rng)
+    rng = as_rng(seed_or_rng)
     dim = 2**n
     psi = np.zeros(dim, dtype=np.complex128)
     psi[0] = 1.0
@@ -226,7 +220,7 @@ def sample_outcomes(p: ProbVec, count: int, seed_or_rng) -> np.ndarray:
         raise InvalidParameterError("sample_outcomes requires a normalized distribution")
     if count < 0:
         raise InvalidParameterError("count must be >= 0")
-    rng = _as_rng(seed_or_rng)
+    rng = as_rng(seed_or_rng)
     cdf = np.cumsum(p.entries)
     cdf[-1] = 1.0
     u = rng.random(count)

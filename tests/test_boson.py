@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -59,6 +60,12 @@ class TestEnumeratePhi:
         seqs = [o.s for o in enumerate_phi(3, 2)]
         assert seqs == [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
 
+    def test_order_is_descending_lexicographic(self):
+        for m, n in [(3, 2), (6, 3), (9, 3), (4, 0)]:
+            want = sorted((s for s in itertools.product(range(n + 1), repeat=m) if sum(s) == n), reverse=True)
+            assert [o.s for o in enumerate_phi(m, n)] == want
+            assert [o.s for o in enumerate_phi(m, n, True)] == [s for s in want if max(s, default=0) <= 1]
+
     def test_collision_free_subset(self):
         cf = enumerate_phi(3, 2, collision_free_only=True)
         assert len(cf) == 3
@@ -78,6 +85,10 @@ class TestEnumeratePhi:
             enumerate_phi(0, 1)
         with pytest.raises(InvalidParameterError):
             enumerate_phi(3, -1)
+
+    def test_size_cap(self):
+        with pytest.raises(ResourceLimitError):
+            enumerate_phi(100, 10)
 
 
 class TestPermanent:
@@ -281,3 +292,36 @@ class TestBosonEnsemble:
         b = e.instance_distribution(4).entries
         assert np.array_equal(a, b)
         assert not np.array_equal(a, e.instance_distribution(5).entries)
+
+
+class TestBatchedRyser:
+    @staticmethod
+    def per_outcome(inst, method):
+        return np.array([
+            abs(permanent(submatrix(inst, occ), method)) ** 2 / math.prod(math.factorial(x) for x in occ.s)
+            for occ in enumerate_phi(inst.m, inst.n)
+        ])
+
+    def test_matches_naive_permanent_on_every_outcome(self):
+        rng = stream_rng(14)
+        for n in (1, 2, 3):
+            for m in (3, 5):
+                for inst in (BosonInstance.haar(n, m, rng), BosonInstance(n, m, np.eye(m))):
+                    p, outcomes = boson_distribution(inst)
+                    assert len(outcomes) == math.comb(m + n - 1, n)
+                    assert np.max(np.abs(p.entries - self.per_outcome(inst, "naive"))) <= 1e-14
+
+    def test_matches_scalar_path_at_5_16(self):
+        inst = BosonInstance.haar(5, 16, stream_rng(15))
+        p, outcomes = boson_distribution(inst)
+        assert len(outcomes) == 15504
+        assert np.max(np.abs(p.entries - self.per_outcome(inst, "ryser"))) <= 1e-12
+        assert abs(p.sum() - 1.0) <= 1e-12
+
+    def test_empty_permanent_is_one(self):
+        assert permanent(np.zeros((0, 0))) == 1.0
+        assert permanent(np.zeros((0, 0)), "naive") == 1.0
+
+    def test_subset_count_is_capped(self):
+        with pytest.raises(ResourceLimitError):
+            permanent(np.eye(20))

@@ -204,3 +204,27 @@ class TestArgHandling:
         code, out, _ = run(capsys, "norms", "--config", str(cfg), "--dist", "uniform:4")
         assert code == 0
         assert json.loads(out)["dim"] == 4
+
+
+class TestMalformedInput:
+    """Malformed input exits 1 with a single error line, not a traceback."""
+
+    def assert_one_line_error(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_config_without_path(self, capsys):
+        self.assert_one_line_error(capsys, "norms", "--dist", "uniform:4", "--config")
+
+    def test_truncated_pvec(self, tmp_path, capsys):
+        short = tmp_path / "short.pvec"
+        short.write_bytes(b"PVEC1\x01")
+        self.assert_one_line_error(capsys, "norms", "--dist", str(short))
+
+    def test_samples_file_holding_an_object(self, tmp_path, capsys):
+        samples = tmp_path / "s.json"
+        samples.write_text(json.dumps({"samples": [0, 1, 2]}))
+        self.assert_one_line_error(
+            capsys, "certify", "--target", "uniform:8", "--samples", str(samples), "--eps", "0.5",
+        )
