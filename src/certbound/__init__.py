@@ -55,9 +55,7 @@ from .certtest import (
     CertificationTester,
     TesterConfig,
     TestVerdict,
-    calibrate_threshold,
     empirical_sample_complexity,
-    identity_test,
 )
 from .errors import CertboundError, InvalidParameterError, ResourceLimitError
 

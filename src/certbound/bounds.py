@@ -22,8 +22,6 @@ UNSPECIFIED_CONSTANT_NOTE = "up to unspecified universal constant"
 KINDS = (
     "vv_lower",
     "vv_upper",
-    "sandwich_lower",
-    "sandwich_upper",
     "postselected",
     "min_entropy_based",
     "iqp",

@@ -21,9 +21,14 @@ import numpy as np
 
 from .distvec import ProbVec, l1_distance, truncated_core
 from .errors import InvalidParameterError
+from .qsim import sample_outcomes
 from .rng import stream_rng
 
 CALIBRATION_MARGIN = 0.05  # absorbs Monte-Carlo noise on top of the 2/3 target
+
+# Entries of the (trials x samples) draw and of the (trials x dim) count matrix
+# per chunk of trials (8 MB per int64 array); bounds the tester's peak memory.
+_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,10 @@ class TestVerdict:
 
 
 class CertificationTester:
-    """Calibrated identity tester for a fixed target distribution and sample size."""
+    """Calibrated identity tester for a fixed target distribution and sample size.
+
+    `threshold` is the one in force: `cfg.threshold` when given, else the calibrated one.
+    """
 
     def __init__(self, p: ProbVec, cfg: TesterConfig):
         if not p.normalized:
@@ -71,9 +79,8 @@ class CertificationTester:
         mask[self.max_index] = False
         self.tail = np.flatnonzero(mask)
         self.tail_weight = float(p.entries[self.tail].sum())
-        self._cdf = np.cumsum(p.entries)
-        self._cdf[-1] = 1.0
-        self._calibrate()
+        calibrated = self._calibrate()
+        self.threshold = calibrated if cfg.threshold is None else cfg.threshold
 
     # -- statistics ------------------------------------------------------
 
@@ -92,22 +99,27 @@ class CertificationTester:
         mx = np.abs(counts[:, self.max_index] - s * p[self.max_index])
         return np.column_stack([bulk, tail, mx])
 
-    def _sample_counts(self, rng: np.random.Generator, trials: int) -> np.ndarray:
-        u = rng.random((trials, self.cfg.samples))
-        idx = np.searchsorted(self._cdf, u, side="right")
-        offset = np.arange(trials)[:, None] * self.p.dim
-        flat = (idx + offset).ravel()
-        return np.bincount(flat, minlength=trials * self.p.dim).reshape(trials, self.p.dim)
+    def _draw_components(self, q: ProbVec, rng: np.random.Generator, trials: int) -> np.ndarray:
+        """(trials, 3) components of `trials` i.i.d. sample sets drawn from q, a chunk of trials at a time."""
+        s, dim = self.cfg.samples, self.p.dim
+        step = max(1, _CHUNK_ENTRIES // max(s, dim))
+        parts = []
+        for start in range(0, trials, step):
+            t = min(step, trials - start)
+            idx = sample_outcomes(q, t * s, rng).reshape(t, s)
+            flat = (idx + np.arange(t)[:, None] * dim).ravel()
+            parts.append(self._components(np.bincount(flat, minlength=t * dim).reshape(t, dim)))
+        return np.concatenate(parts)
 
-    def _calibrate(self):
+    def _calibrate(self) -> float:
+        """Set the per-component centers and scales; return the null quantile threshold."""
         rng = stream_rng(self.cfg.seed, 0xCA11B)
-        comps = self._components(self._sample_counts(rng, self.cfg.calibration_runs))
+        comps = self._draw_components(self.p, rng, self.cfg.calibration_runs)
         self._centers = np.median(comps, axis=0)
         hi = np.quantile(comps, 0.9, axis=0)
         self._scales = np.where(hi > self._centers, hi - self._centers, 1.0)
-        combined = self._combined(comps)
         level = 2.0 / 3.0 + CALIBRATION_MARGIN
-        self.threshold = float(np.quantile(combined, level))
+        return float(np.quantile(self._combined(comps), level))
 
     def _combined(self, comps: np.ndarray) -> np.ndarray:
         return np.max((comps - self._centers) / self._scales, axis=1)
@@ -125,33 +137,18 @@ class CertificationTester:
 
     def test(self, samples) -> TestVerdict:
         stat = self.statistic(samples)
-        thr = self.cfg.threshold if self.cfg.threshold is not None else self.threshold
-        return TestVerdict(accept=stat <= thr, statistic=stat, threshold=thr, samples_used=self.cfg.samples)
+        return TestVerdict(
+            accept=stat <= self.threshold, statistic=stat, threshold=self.threshold, samples_used=self.cfg.samples
+        )
 
     def accept_rate(self, q: ProbVec, trials: int, stream: int) -> float:
         """Monte-Carlo acceptance rate on i.i.d. sample sets drawn from q."""
         if q.dim != self.p.dim:
             raise InvalidParameterError("dimension mismatch")
+        if trials < 1:
+            raise InvalidParameterError("trials must be >= 1")
         rng = stream_rng(self.cfg.seed, 0x7E57, stream)
-        cdf = np.cumsum(q.entries)
-        cdf[-1] = 1.0
-        u = rng.random((trials, self.cfg.samples))
-        idx = np.searchsorted(cdf, u, side="right")
-        offset = np.arange(trials)[:, None] * self.p.dim
-        counts = np.bincount((idx + offset).ravel(), minlength=trials * self.p.dim).reshape(trials, self.p.dim)
-        combined = self._combined(self._components(counts))
-        thr = self.cfg.threshold if self.cfg.threshold is not None else self.threshold
-        return float(np.mean(combined <= thr))
-
-
-def calibrate_threshold(p: ProbVec, cfg: TesterConfig) -> float:
-    """Empirical quantile of the null statistic giving acceptance >= 2/3 + margin."""
-    return CertificationTester(p, cfg).threshold
-
-
-def identity_test(p: ProbVec, samples, cfg: TesterConfig) -> TestVerdict:
-    """Run the calibrated three-part test on one sequence of outcome indices."""
-    return CertificationTester(p, cfg).test(samples)
+        return float(np.mean(self._combined(self._draw_components(q, rng, trials)) <= self.threshold))
 
 
 # -- adversary library ----------------------------------------------------

@@ -33,16 +33,18 @@ from .bounds import (
 from .boson import BosonEnsemble, BosonInstance, boson_distribution, bs_flatness_tail_bound
 from .certtest import ADVERSARIES, CertificationTester, TesterConfig, empirical_sample_complexity
 from .distvec import ProbVec, l1_distance, lp_quasinorm, min_entropy, renyi_entropy, truncated_core
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import MAX_QUBITS, InvalidParameterError, ResourceLimitError
 from .moments import anti_concentration_check, estimate_second_moments, min_entropy_tail_check
 from .qsim import CircuitEnsemble, IqpWeights, iqp_output_distribution
 
 
 def _load_dist(spec: str) -> ProbVec:
-    if spec.startswith("uniform:"):
-        return ProbVec.uniform(int(spec.split(":", 1)[1]))
-    if spec.startswith("pointmass:"):
-        return ProbVec.point_mass(int(spec.split(":", 1)[1]))
+    kind, sep, dim = spec.partition(":")
+    if sep and kind in ("uniform", "pointmass"):
+        d = int(dim)
+        if d > 2**MAX_QUBITS:
+            raise ResourceLimitError(f"{spec}: dimension exceeds 2**{MAX_QUBITS}")
+        return ProbVec.uniform(d) if kind == "uniform" else ProbVec.point_mass(d)
     path = Path(spec)
     if not path.exists():
         raise InvalidParameterError(f"no such distribution file: {spec}")
@@ -70,7 +72,8 @@ def _write_output(path: str, payload, manifest_ctx: dict):
     Path(str(p) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _emit(args, text: str):
+def _emit(args, payload: str | bytes):
+    """Print the result, or write it (text or binary) to --out with a manifest beside it."""
     ctx = {
         "command": args.subcommand,
         "config": {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")},
@@ -78,9 +81,9 @@ def _emit(args, text: str):
         "started": args._started,
     }
     if getattr(args, "out", None):
-        _write_output(args.out, text, ctx)
+        _write_output(args.out, payload, ctx)
     else:
-        print(text)
+        print(payload)
 
 
 def _make_ensemble(args):
@@ -163,39 +166,24 @@ def cmd_simulate(args):
             lines += [f"{occ},{float(prob)!r}" for occ, prob in zip(outcomes, dist.entries)]
             _emit(args, "\n".join(lines) + "\n")
             return 0
-    if args.out and args.out.endswith(".pvec"):
-        ctx = {
-            "command": args.subcommand,
-            "config": {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")},
-            "seed": args.seed,
-            "started": args._started,
-        }
-        _write_output(args.out, dist.to_bytes(), ctx)
-    else:
-        _emit(args, dist.to_json())
+    _emit(args, dist.to_bytes() if args.out and args.out.endswith(".pvec") else dist.to_json())
     return 0
 
 
 def cmd_moments(args):
-    est = estimate_second_moments(
-        _make_ensemble(args), args.instances, seed=args.seed, name=args.ensemble, workers=args.threads
-    )
+    est = estimate_second_moments(_make_ensemble(args), args.instances, name=args.ensemble, workers=args.threads)
     _emit(args, est.to_json())
     return 0
 
 
 def cmd_tail_check(args):
-    rep = min_entropy_tail_check(
-        _make_ensemble(args), args.delta, args.instances, seed=args.seed, workers=args.threads
-    )
+    rep = min_entropy_tail_check(_make_ensemble(args), args.delta, args.instances, workers=args.threads)
     _emit(args, rep.to_json())
     return 0
 
 
 def cmd_anticoncentration(args):
-    rep = anti_concentration_check(
-        _make_ensemble(args), args.alpha, args.instances, seed=args.seed, workers=args.threads
-    )
+    rep = anti_concentration_check(_make_ensemble(args), args.alpha, args.instances, workers=args.threads)
     _emit(args, rep.to_json())
     return 0
 

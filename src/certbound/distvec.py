@@ -133,21 +133,14 @@ def truncate_tail(v: ProbVec, eps: float) -> ProbVec:
 
     Removal is maximal under the constraint: entries are visited in
     ascending order (ties at lowest index) and zeroed until the next one
-    would push the removed weight above eps.
+    would push the removed weight above eps.  The running sum is a
+    sequential cumsum, so it adds in exactly that order.
     """
     if eps < 0:
         raise InvalidParameterError("eps must be >= 0")
     out = v.entries.copy()
     order = np.argsort(out, kind="stable")
-    removed = 0.0
-    for i in order:
-        x = out[i]
-        if x == 0.0:
-            continue
-        if removed + x > eps:
-            break
-        removed += x
-        out[i] = 0.0
+    out[order[: np.searchsorted(np.cumsum(out[order]), eps, side="right")]] = 0.0
     return ProbVec(out)
 
 

@@ -66,12 +66,14 @@ class MomentEstimate:
 def estimate_second_moments(
     ensemble,
     num_instances: int,
-    seed: int = 0,
     name: str = "",
     per_outcome: bool = False,
     workers: int = 1,
 ) -> MomentEstimate:
-    """Average of sum_S P(S)^2 (= 2^-H2) over `num_instances` fresh instances."""
+    """Average of sum_S P(S)^2 (= 2^-H2) over `num_instances` fresh instances.
+
+    The report carries the ensemble's own seed (0 for a plain callable).
+    """
     if num_instances < 2:
         raise InvalidParameterError("need at least 2 instances")
     collisions = np.empty(num_instances)
@@ -90,7 +92,7 @@ def estimate_second_moments(
         num_instances=num_instances,
         sum_second_moments=mean,
         std_error=se,
-        seed=seed,
+        seed=getattr(ensemble, "seed", 0),
         per_outcome=None if outcome_acc is None else outcome_acc / num_instances,
     )
 
@@ -121,7 +123,6 @@ def min_entropy_tail_check(
     ensemble,
     delta: float,
     num_instances: int,
-    seed: int = 0,
     moment_sum: float | None = None,
     workers: int = 1,
 ) -> TailCheckReport:
@@ -181,7 +182,6 @@ def anti_concentration_check(
     ensemble,
     alpha: float,
     num_instances: int,
-    seed: int = 0,
     outcome: int = 0,
     mean_override: float | None = None,
     workers: int = 1,

@@ -5,19 +5,20 @@ from certbound import (
     CertificationTester,
     ProbVec,
     TesterConfig,
-    calibrate_threshold,
     empirical_sample_complexity,
-    identity_test,
     l1_distance,
     sample_outcomes,
 )
+from certbound import certtest
 from certbound.certtest import (
     ADVERSARIES,
+    CALIBRATION_MARGIN,
     max_inflation_adversary,
     pairwise_shift_adversary,
     tail_deletion_adversary,
 )
 from certbound.errors import InvalidParameterError
+from certbound.rng import stream_rng
 
 
 class TestTesterConfig:
@@ -34,7 +35,7 @@ class TestCalibration:
     def test_threshold_reproducible(self):
         p = ProbVec.uniform(16)
         cfg = TesterConfig(eps=0.5, samples=200, seed=42)
-        assert calibrate_threshold(p, cfg) == calibrate_threshold(p, cfg)
+        assert CertificationTester(p, cfg).threshold == CertificationTester(p, cfg).threshold
 
     def test_point_mass_degenerate(self):
         p = ProbVec.point_mass(4, 1)
@@ -54,7 +55,7 @@ class TestIdentityTest:
         p = ProbVec.uniform(8)
         cfg = TesterConfig(eps=0.5, samples=100, seed=1)
         samples = sample_outcomes(p, 100, 3)
-        verdict = identity_test(p, samples, cfg)
+        verdict = CertificationTester(p, cfg).test(samples)
         assert verdict.samples_used == 100
         assert verdict.accept == (verdict.statistic <= verdict.threshold)
 
@@ -71,8 +72,8 @@ class TestIdentityTest:
         p = ProbVec.uniform(8)
         cfg = TesterConfig(eps=0.5, samples=64, seed=5)
         samples = sample_outcomes(p, 64, 9)
-        a = identity_test(p, samples, cfg)
-        b = identity_test(p, samples, cfg)
+        a = CertificationTester(p, cfg).test(samples)
+        b = CertificationTester(p, cfg).test(samples)
         assert a.statistic == b.statistic and a.accept == b.accept
 
     def test_completeness_uniform_16(self):
@@ -92,6 +93,53 @@ class TestIdentityTest:
         rate = tester.accept_rate(q, trials=500, stream=2)
         se = np.sqrt(max(rate * (1 - rate), 1 / 500) / 500)
         assert rate < 1 / 3 + 4 * se
+
+
+def dense_components(tester, q, rng, trials):
+    """Reference: one (trials, samples) inverse-CDF draw and one dense (trials, dim) count matrix."""
+    cdf = np.cumsum(q.entries)
+    cdf[-1] = 1.0
+    idx = np.searchsorted(cdf, rng.random((trials, tester.cfg.samples)), side="right")
+    counts = np.stack([np.bincount(row, minlength=q.dim) for row in idx])
+    return tester._components(counts)
+
+
+class TestChunkedSampling:
+    def test_chunks_match_one_dense_matrix(self, monkeypatch):
+        # 7 trials per chunk; neither 103 calibration runs nor 101 trials is a multiple of 7
+        monkeypatch.setattr(certtest, "_CHUNK_ENTRIES", 7 * 64)
+        p = ProbVec(np.random.default_rng(4).dirichlet(np.ones(16)))
+        q = pairwise_shift_adversary(p, 0.6)
+        cfg = TesterConfig(eps=0.5, samples=64, calibration_runs=103, seed=8)
+        tester = CertificationTester(p, cfg)
+
+        comps = dense_components(tester, p, stream_rng(cfg.seed, 0xCA11B), cfg.calibration_runs)
+        centers = np.median(comps, axis=0)
+        hi = np.quantile(comps, 0.9, axis=0)
+        scales = np.where(hi > centers, hi - centers, 1.0)
+        combined = np.max((comps - centers) / scales, axis=1)
+        threshold = float(np.quantile(combined, 2.0 / 3.0 + CALIBRATION_MARGIN))
+        assert np.array_equal(tester._centers, centers) and np.array_equal(tester._scales, scales)
+        assert tester.threshold == threshold
+
+        for dist, stream in ((p, 1), (q, 2)):
+            comps = dense_components(tester, dist, stream_rng(cfg.seed, 0x7E57, stream), 101)
+            rate = float(np.mean(np.max((comps - centers) / scales, axis=1) <= threshold))
+            assert tester.accept_rate(dist, 101, stream=stream) == rate
+
+    def test_threshold_override_applies_to_test_and_accept_rate(self):
+        p = ProbVec.uniform(8)
+        cfg = TesterConfig(eps=0.5, samples=40, seed=3, threshold=-1e9)
+        tester = CertificationTester(p, cfg)
+        assert tester.threshold == -1e9
+        assert not tester.test(sample_outcomes(p, 40, 1)).accept
+        assert tester.accept_rate(p, 100, stream=1) == 0.0
+
+    def test_accept_rate_needs_a_trial(self):
+        p = ProbVec.uniform(4)
+        tester = CertificationTester(p, TesterConfig(eps=0.5, samples=10))
+        with pytest.raises(InvalidParameterError):
+            tester.accept_rate(p, 0, stream=1)
 
 
 class TestAdversaries:

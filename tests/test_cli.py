@@ -29,6 +29,12 @@ class TestNorms:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("spec", ["uniform:1048577", "pointmass:1048577", "uniform:1000000000000000"])
+    def test_builtin_dimension_cap(self, capsys, spec):
+        code, out, err = run(capsys, "norms", "--dist", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("resource limit:") and len(err.splitlines()) == 1
+
 
 class TestBounds:
     def test_default_kind_reference_value(self, capsys):

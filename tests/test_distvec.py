@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certbound import (
     ProbVec,
@@ -177,6 +179,48 @@ class TestTruncation:
     def test_core_can_be_zero_for_large_eps(self):
         v = ProbVec(np.array([0.9, 0.05, 0.05]))
         assert np.all(truncated_core(v, 0.2).entries == 0)
+
+
+def _truncate_tail_loop(x: np.ndarray, eps: float) -> np.ndarray:
+    """Reference: visit entries in ascending order, zero them while the removed sum stays <= eps."""
+    out = x.copy()
+    removed = 0.0
+    for i in np.argsort(out, kind="stable"):
+        if out[i] == 0.0:
+            continue
+        if removed + out[i] > eps:
+            break
+        removed += out[i]
+        out[i] = 0.0
+    return out
+
+
+# entries with many zeros and ties, as truncation meets them in flat and sparse targets
+_entries = st.lists(
+    st.one_of(st.just(0.0), st.sampled_from([1e-3, 0.1, 0.25]), st.floats(0.0, 1.0)), min_size=1, max_size=64
+).map(np.array)
+_eps = st.floats(0.0, 2.0)
+
+
+class TestTruncateTailProperties:
+    @settings(deadline=None)
+    @given(_entries, _eps)
+    def test_removes_at_most_eps(self, x, eps):
+        out = truncate_tail(ProbVec(x), eps).entries
+        assert math.fsum(x[out != x].tolist()) <= eps + 1e-12
+
+    @settings(deadline=None)
+    @given(_entries, _eps)
+    def test_removal_is_maximal(self, x, eps):
+        out = truncate_tail(ProbVec(x), eps).entries
+        survivors = out[out > 0]
+        if survivors.size:
+            assert math.fsum(x[out != x].tolist()) + survivors.min() > eps - 1e-12
+
+    @settings(deadline=None)
+    @given(_entries, _eps)
+    def test_matches_loop_oracle(self, x, eps):
+        assert np.array_equal(truncate_tail(ProbVec(x), eps).entries, _truncate_tail_loop(x, eps))
 
 
 class TestEntropies:

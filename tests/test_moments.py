@@ -57,6 +57,10 @@ class TestEstimateSecondMoments:
         c = estimate_second_moments(e, 100, workers=4)
         assert a.sum_second_moments == b.sum_second_moments == c.sum_second_moments
 
+    def test_report_carries_ensemble_seed(self):
+        assert estimate_second_moments(CircuitEnsemble(kind="haar_state", n=2, seed=9), 10).seed == 9
+        assert estimate_second_moments(fixed_ensemble(ProbVec.uniform(2)), 10).seed == 0
+
     def test_per_outcome_mode(self):
         e = CircuitEnsemble(kind="haar_state", n=2, seed=5)
         est = estimate_second_moments(e, 500, per_outcome=True)
