@@ -2,8 +2,9 @@
 
 An ensemble is anything with an `instance_distribution(i) -> ProbVec`
 method (see qsim.CircuitEnsemble) or a plain callable mapping an instance
-index to a ProbVec.  Instance i always uses RNG stream (seed, i), so
-estimates are bit-for-bit reproducible regardless of scheduling.
+index to a ProbVec.  Instances are evaluated one after another, and
+instance i always uses RNG stream (seed, i), so estimates are bit-for-bit
+reproducible from the seed alone.
 """
 
 from __future__ import annotations
@@ -18,21 +19,11 @@ from .distvec import ProbVec, min_entropy
 from .errors import InvalidParameterError
 
 
-def _instances(ensemble, num_instances: int, workers: int = 1):
-    """Instance distributions in index order; workers > 1 maps in parallel.
-
-    Results are identical regardless of worker count because instance i is
-    a pure function of the ensemble and i.
-    """
+def _instances(ensemble, num_instances: int):
+    """Instance distributions in index order."""
     get = ensemble.instance_distribution if hasattr(ensemble, "instance_distribution") else ensemble
-    if workers <= 1:
-        for i in range(num_instances):
-            yield get(i)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(get, range(num_instances))
+    for i in range(num_instances):
+        yield get(i)
 
 
 @dataclass(frozen=True)
@@ -68,7 +59,6 @@ def estimate_second_moments(
     num_instances: int,
     name: str = "",
     per_outcome: bool = False,
-    workers: int = 1,
 ) -> MomentEstimate:
     """Average of sum_S P(S)^2 (= 2^-H2) over `num_instances` fresh instances.
 
@@ -78,7 +68,7 @@ def estimate_second_moments(
         raise InvalidParameterError("need at least 2 instances")
     collisions = np.empty(num_instances)
     outcome_acc = None
-    for i, dist in enumerate(_instances(ensemble, num_instances, workers)):
+    for i, dist in enumerate(_instances(ensemble, num_instances)):
         sq = dist.entries**2
         collisions[i] = math.fsum(sq.tolist())
         if per_outcome:
@@ -124,7 +114,6 @@ def min_entropy_tail_check(
     delta: float,
     num_instances: int,
     moment_sum: float | None = None,
-    workers: int = 1,
 ) -> TailCheckReport:
     """Fraction of instances with H_inf below (log2 delta - log2 sum_S E[P^2]) / 2.
 
@@ -137,7 +126,7 @@ def min_entropy_tail_check(
         raise InvalidParameterError("need at least 2 instances")
     entropies = np.empty(num_instances)
     collisions = np.empty(num_instances)
-    for i, dist in enumerate(_instances(ensemble, num_instances, workers)):
+    for i, dist in enumerate(_instances(ensemble, num_instances)):
         entropies[i] = min_entropy(dist)
         collisions[i] = math.fsum((dist.entries**2).tolist())
     ms = float(np.mean(collisions)) if moment_sum is None else float(moment_sum)
@@ -184,7 +173,6 @@ def anti_concentration_check(
     num_instances: int,
     outcome: int = 0,
     mean_override: float | None = None,
-    workers: int = 1,
 ) -> AntiConcentrationReport:
     """Estimate Pr[P(S) >= alpha / |E|] for fixed S and compare to (1-alpha)^2 E[Z]^2 / E[Z^2].
 
@@ -198,7 +186,7 @@ def anti_concentration_check(
         raise InvalidParameterError("need at least 2 instances")
     values = np.empty(num_instances)
     dim = None
-    for i, dist in enumerate(_instances(ensemble, num_instances, workers)):
+    for i, dist in enumerate(_instances(ensemble, num_instances)):
         if dim is None:
             dim = dist.dim
             if not 0 <= outcome < dim:

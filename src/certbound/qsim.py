@@ -114,15 +114,18 @@ def _check_qubits(n: int, max_qubits: int = MAX_QUBITS):
 
 
 def fwht(a: np.ndarray) -> np.ndarray:
-    """In-place-free fast Walsh-Hadamard transform (unnormalized)."""
+    """Fast Walsh-Hadamard transform (unnormalized), in place on one copy of `a`."""
     a = a.copy()
-    h = 1
     n = a.size
+    diff = np.empty(n // 2, dtype=a.dtype)
+    h = 1
     while h < n:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :] + a[:, 1, :]
-        bot = a[:, 0, :] - a[:, 1, :]
-        a = np.stack([top, bot], axis=1).reshape(n)
+        pairs = a.reshape(-1, 2, h)
+        top, bot = pairs[:, 0, :], pairs[:, 1, :]
+        d = diff.reshape(-1, h)
+        np.subtract(top, bot, out=d)
+        top += bot
+        bot[...] = d
         h *= 2
     return a
 
@@ -134,23 +137,25 @@ def iqp_output_distribution(w: IqpWeights) -> ProbVec:
     theta(x) = sum_{i<j} w_ij chi_i(x) chi_j(x) + sum_i w_ii chi_i(x),
     chi_i(x) = (-1)^(x_i), so the amplitudes are the Walsh-Hadamard
     transform of the phase vector exp(i theta) divided by 2^n.
+
+    theta is built by doubling: qubits are placed from the last to the first,
+    each as the new most significant bit, theta' = [theta + a, theta - a] with
+    a = w_ii + sum_{j placed} w_ij chi_j.  Row k of `acc` holds that sum for
+    the k-th qubit not yet placed, so the build is O(2^n) work in O(n) numpy
+    calls.
     """
     n = w.n
     _check_qubits(n)
-    dim = 2**n
-    x = np.arange(dim, dtype=np.uint64)
-    # chi[i] over all outcomes; qubit 0 = most significant bit
-    chi = np.empty((n, dim))
+    rev = w.w[::-1, ::-1]  # row/column i is qubit n - 1 - i
+    theta = np.zeros(1)
+    acc = np.diag(rev)[:, None]
     for i in range(n):
-        bits = (x >> np.uint64(n - 1 - i)) & np.uint64(1)
-        chi[i] = 1.0 - 2.0 * bits.astype(np.float64)
-    theta = np.zeros(dim)
-    for i in range(n):
-        theta += w.w[i, i] * chi[i]
-        for j in range(i + 1, n):
-            theta += w.w[i, j] * chi[i] * chi[j]
-    amps = fwht(np.exp(1j * theta)) / dim
-    probs = np.abs(amps) ** 2
+        a, acc = acc[0], acc[1:]
+        theta = np.concatenate((theta + a, theta - a))
+        col = rev[i + 1 :, i, None]
+        acc = np.concatenate((acc + col, acc - col), axis=1)
+    # the 1/2^n amplitude scale is a power of two, so dropping it before normalizing is exact
+    probs = np.abs(fwht(np.exp(1j * theta))) ** 2
     return ProbVec(probs / probs.sum())
 
 

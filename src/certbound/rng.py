@@ -3,7 +3,8 @@
 All Monte-Carlo code in this package draws its randomness through
 `stream_rng`, which derives an independent counter-based (Philox) stream
 from a 64-bit root seed and an arbitrary tuple of stream identifiers.
-Workers therefore produce identical results regardless of scheduling.
+A stream's draws therefore depend only on the seed and its identifiers,
+not on which other streams were drawn before it.
 """
 
 from __future__ import annotations

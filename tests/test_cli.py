@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from certbound import ProbVec, sample_outcomes
-from certbound.cli import main
+from certbound.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -94,6 +94,14 @@ class TestSimulate:
 
         digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
         assert manifest["outputs"][0]["sha256"] == digest
+
+    def test_manifest_config_reproducible(self, tmp_path, capsys):
+        configs = []
+        for name in ("a.json", "b.json"):
+            code, _, _ = run(capsys, "simulate", "haar", "--n", "2", "--seed", "3", "--out", str(tmp_path / name))
+            assert code == 0
+            configs.append(json.loads((tmp_path / f"{name}.manifest.json").read_text())["config"])
+        assert configs[0] == configs[1]
 
     def test_pvec_binary_output(self, tmp_path, capsys):
         out_file = tmp_path / "dist.pvec"
@@ -234,3 +242,16 @@ class TestMalformedInput:
         self.assert_one_line_error(
             capsys, "certify", "--target", "uniform:8", "--samples", str(samples), "--eps", "0.5",
         )
+
+    @pytest.mark.parametrize("bad", [0.9, True])
+    def test_samples_file_holding_non_integers(self, tmp_path, capsys, bad):
+        samples = tmp_path / "s.json"
+        samples.write_text(json.dumps([0, 1, 2, bad] * 4))
+        self.assert_one_line_error(
+            capsys, "certify", "--target", "uniform:8", "--samples", str(samples), "--eps", "0.5",
+        )
+
+    def test_threads_flag_is_gone(self, capsys):
+        assert build_parser().parse_args(["bs-tail", "--n", "2", "--m", "2"]).threads == 1
+        code, out, _ = run(capsys, "bs-tail", "--n", "2", "--m", "2", "--threads", "2")
+        assert code == 1 and out == ""

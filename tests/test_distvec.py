@@ -42,6 +42,9 @@ class TestProbVec:
     def test_normalized_flag_derived(self):
         assert ProbVec(np.array([0.5, 0.5])).normalized
         assert not ProbVec(np.array([0.5, 0.4])).normalized
+        # NORMALIZATION_TOL is 1e-9; sums just inside and just outside it at 2^20 entries
+        assert ProbVec(np.full(2**20, (1 + 5e-10) / 2**20)).normalized
+        assert not ProbVec(np.full(2**20, (1 + 2e-9) / 2**20)).normalized
         with pytest.raises(InvalidParameterError):
             ProbVec(np.array([0.5, 0.4]), normalized=True)
 

@@ -54,8 +54,7 @@ class TestEstimateSecondMoments:
         e = CircuitEnsemble(kind="haar_state", n=3, seed=9)
         a = estimate_second_moments(e, 100)
         b = estimate_second_moments(e, 100)
-        c = estimate_second_moments(e, 100, workers=4)
-        assert a.sum_second_moments == b.sum_second_moments == c.sum_second_moments
+        assert a.sum_second_moments == b.sum_second_moments
 
     def test_report_carries_ensemble_seed(self):
         assert estimate_second_moments(CircuitEnsemble(kind="haar_state", n=2, seed=9), 10).seed == 9

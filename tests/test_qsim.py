@@ -76,6 +76,12 @@ class TestFwht:
         a = stream_rng(4).standard_normal(64)
         assert np.allclose(fwht(fwht(a)), 64 * a)
 
+    def test_leaves_argument_unchanged(self):
+        a = stream_rng(4).standard_normal(64) + 1j * stream_rng(5).standard_normal(64)
+        before = a.copy()
+        fwht(a)
+        assert np.array_equal(a, before)
+
 
 class TestIqpDistribution:
     def test_zero_weights_point_mass(self):
@@ -91,11 +97,12 @@ class TestIqpDistribution:
 
     def test_matches_matrix_exponential_oracle(self):
         rng = stream_rng(5)
-        for _ in range(5):
-            w = IqpWeights.random(3, rng)
-            oracle = np.abs(iqp_unitary_dense(w)[:, 0]) ** 2
-            mine = iqp_output_distribution(w).entries
-            assert np.max(np.abs(oracle - mine)) < 1e-8
+        for n in (1, 2, 3, 5, 6):
+            for _ in range(5):
+                w = IqpWeights.random(n, rng)
+                oracle = np.abs(iqp_unitary_dense(w)[:, 0]) ** 2
+                mine = iqp_output_distribution(w).entries
+                assert np.max(np.abs(oracle - mine)) < 1e-8
 
     def test_normalized(self):
         rng = stream_rng(6)
