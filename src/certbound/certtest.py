@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distvec import ProbVec, l1_distance, truncated_core
+from .distvec import ProbVec, l1_distance, truncate_tail, truncated_core
 from .errors import InvalidParameterError
 from .qsim import sample_outcomes
 from .rng import stream_rng
@@ -29,6 +29,9 @@ CALIBRATION_MARGIN = 0.05  # absorbs Monte-Carlo noise on top of the 2/3 target
 # Entries of the (trials x samples) draw and of the (trials x dim) count matrix
 # per chunk of trials (8 MB per int64 array); bounds the tester's peak memory.
 _CHUNK_ENTRIES = 1 << 20
+
+# Largest sample size the complexity search tries before giving up.
+_S_MAX = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -127,12 +130,14 @@ class CertificationTester:
     # -- public API ------------------------------------------------------
 
     def statistic(self, samples) -> float:
-        samples = np.asarray(samples, dtype=np.int64)
+        samples = np.asarray(samples)
+        if samples.dtype.kind not in "iu":
+            raise InvalidParameterError("samples must be integer outcome indices")
         if samples.size and (samples.min() < 0 or samples.max() >= self.p.dim):
             raise InvalidParameterError("sample index out of range")
         if samples.size != self.cfg.samples:
             raise InvalidParameterError("sample count does not match the calibrated size")
-        counts = np.bincount(samples, minlength=self.p.dim)
+        counts = np.bincount(samples.astype(np.int64), minlength=self.p.dim)
         return float(self._combined(self._components(counts))[0])
 
     def test(self, samples) -> TestVerdict:
@@ -171,21 +176,22 @@ def pairwise_shift_adversary(p: ProbVec, distance: float) -> ProbVec:
 
 
 def tail_deletion_adversary(p: ProbVec, distance: float) -> ProbVec:
-    """Delete exactly distance/2 of weight from the smallest entries and renormalize."""
+    """Delete exactly distance/2 of weight from the smallest entries and renormalize.
+
+    `truncate_tail` zeroes the smallest entries whose weight fits; the rest
+    of distance/2 comes off the smallest nonzero entry left (ties at lowest index).
+    """
     w = distance / 2.0
     if w >= 1.0:
         raise InvalidParameterError("cannot delete a full unit of weight")
-    q = p.entries.copy()
-    order = np.argsort(q, kind="stable")
-    remaining = w
-    for i in order:
-        if remaining <= 0:
-            break
-        if q[i] == 0:
-            continue
-        t = min(q[i], remaining)
-        q[i] -= t
-        remaining -= t
+    q = truncate_tail(p, w).entries.copy()
+    remaining = w - float(np.sum(p.entries[q == 0]))
+    rest = np.flatnonzero(q)
+    if remaining > 0 and rest.size:
+        j = rest[np.argmin(q[rest])]
+        cut = min(q[j], remaining)
+        q[j] -= cut
+        remaining -= cut
     if remaining > 1e-12:
         raise InvalidParameterError("target distance not reachable by tail deletion")
     return ProbVec(q / q.sum())
@@ -218,7 +224,6 @@ def empirical_sample_complexity(
     cfg: TesterConfig,
     trials: int = 300,
     s_start: int = 8,
-    s_max: int = 1 << 20,
     refine_steps: int = 3,
 ) -> int:
     """Smallest sample size (up to refinement granularity) at which the calibrated
@@ -239,8 +244,8 @@ def empirical_sample_complexity(
     s = s_start
     while not passes(s):
         s *= 2
-        if s > s_max:
-            raise InvalidParameterError(f"no passing sample size found below {s_max}")
+        if s > _S_MAX:
+            raise InvalidParameterError(f"no passing sample size found below {_S_MAX}")
     lo, hi = s // 2, s
     for _ in range(refine_steps):
         if hi - lo <= 1:

@@ -1,10 +1,15 @@
 """Command-line front end: bound evaluation, simulation, Monte-Carlo checks,
 certification, and reproducibility manifests.
 
-Every run that writes outputs also writes `<output>.manifest.json` recording
-the command, full configuration, seed, package version, timestamps, and a
-sha256 hash of each output file.  Rerunning with the same configuration
-reproduces the outputs byte for byte (the manifest's timestamps differ).
+Each `cmd_*` handler returns its result (text, or bytes for a `.pvec`
+file) and `main` emits it: printed to stdout, or written to `--out` with a
+`<output>.manifest.json` beside it recording the command, full
+configuration, seed, package version, timestamps, and the sha256 of the
+output.  Rerunning with the same configuration reproduces the outputs byte
+for byte (the manifest's timestamps differ).
+
+`simulate` writes instance 0 of the same ensemble that `moments`,
+`tail-check` and `anticoncentration` sweep for the same `--seed`.
 
 Exit codes: 0 success, 1 validation error, 2 resource limit exceeded.
 """
@@ -15,6 +20,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,12 +35,12 @@ from .bounds import (
     vv_lower_bound,
     vv_upper_bound,
 )
-from .boson import BosonEnsemble, BosonInstance, boson_distribution, bs_flatness_tail_bound
+from .boson import BosonEnsemble, boson_distribution, bs_flatness_tail_bound
 from .certtest import ADVERSARIES, CertificationTester, TesterConfig, empirical_sample_complexity
 from .distvec import ProbVec, l1_distance, lp_quasinorm, min_entropy, renyi_entropy, truncated_core
 from .errors import MAX_QUBITS, InvalidParameterError, ResourceLimitError
 from .moments import anti_concentration_check, estimate_second_moments, min_entropy_tail_check
-from .qsim import CircuitEnsemble, IqpWeights, iqp_output_distribution
+from .qsim import CircuitEnsemble
 
 
 def _load_dist(spec: str) -> ProbVec:
@@ -52,37 +58,26 @@ def _load_dist(spec: str) -> ProbVec:
     return ProbVec.from_json(path.read_text())
 
 
-def _write_output(path: str, payload, manifest_ctx: dict):
-    p = Path(path)
+def _emit(args, payload: str | bytes):
+    """Print the result, or write it (text or binary) to --out with a manifest beside it."""
+    if not getattr(args, "out", None):
+        print(payload)
+        return
+    p = Path(args.out)
     if isinstance(payload, bytes):
         p.write_bytes(payload)
     else:
         p.write_text(payload)
-    digest = hashlib.sha256(p.read_bytes()).hexdigest()
     manifest = {
-        "command": manifest_ctx["command"],
-        "config": manifest_ctx["config"],
-        "seed": manifest_ctx.get("seed", 0),
-        "artifact_version": __version__,
-        "started": manifest_ctx["started"],
-        "finished": datetime.now(timezone.utc).isoformat(),
-        "outputs": [{"path": str(p), "sha256": digest}],
-    }
-    Path(str(p) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def _emit(args, payload: str | bytes):
-    """Print the result, or write it (text or binary) to --out with a manifest beside it."""
-    ctx = {
         "command": args.subcommand,
         "config": {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out", "_started")},
         "seed": getattr(args, "seed", 0),
+        "artifact_version": __version__,
         "started": args._started,
+        "finished": datetime.now(timezone.utc).isoformat(),
+        "outputs": [{"path": str(p), "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}],
     }
-    if getattr(args, "out", None):
-        _write_output(args.out, payload, ctx)
-    else:
-        print(payload)
+    Path(str(p) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _make_ensemble(args):
@@ -110,105 +105,79 @@ def cmd_norms(args):
     if v.normalized:
         out["min_entropy_bits"] = min_entropy(v)
         out["renyi2_bits"] = renyi_entropy(v, 2.0)
-    _emit(args, json.dumps(out))
-    return 0
+    return json.dumps(out)
+
+
+def _kind_dist(args) -> ProbVec:
+    if args.dist is None:
+        raise InvalidParameterError(f"--kind {args.kind} needs --dist")
+    return _load_dist(args.dist)
+
+
+def _subset(args) -> list[int]:
+    try:
+        return [int(x) for x in args.subset.split(",")]
+    except ValueError:
+        raise InvalidParameterError(f"--subset needs comma-separated outcome indices, got {args.subset!r}") from None
+
+
+def _sandwich(args) -> str:
+    lo, hi = norm23_bounds(_kind_dist(args), args.eps)
+    return json.dumps({"kind": "sandwich", "lower": lo, "upper": hi, "eps": args.eps})
+
+
+# --kind -> the bound's JSON; the keys are the flag's choices
+_BOUNDS = {
+    "vv_lower": lambda a: vv_lower_bound(_kind_dist(a), a.eps, a.c2).to_json(),
+    "vv_upper": lambda a: vv_upper_bound(_kind_dist(a), a.eps, a.c1).to_json(),
+    "sandwich": _sandwich,
+    "postselected": lambda a: postselected_lower_bound(_kind_dist(a), _subset(a), a.eps, a.c2).to_json(),
+    "smin_iqp": lambda a: smin_iqp(a.n, a.delta, a.eps, a.c2).to_json(),
+    "smin_design": lambda a: smin_design(a.n, a.delta, a.eps, a.eps_tilde, a.c2).to_json(),
+    "smin_boson": lambda a: smin_boson(a.n, a.m, a.delta, a.eps, a.zeta, a.C, a.c2).to_json(),
+    "smin_boson_b": lambda a: smin_boson_full_space(a.n, a.eps, a.c2).to_json(),
+}
 
 
 def cmd_bounds(args):
-    kind = args.kind
-    if kind in ("vv_lower", "vv_upper", "postselected", "sandwich"):
-        p = _load_dist(args.dist)
-        if kind == "vv_lower":
-            rep = vv_lower_bound(p, args.eps, args.c2)
-        elif kind == "vv_upper":
-            rep = vv_upper_bound(p, args.eps, args.c1)
-        elif kind == "postselected":
-            subset = [int(x) for x in args.subset.split(",")]
-            rep = postselected_lower_bound(p, subset, args.eps, args.c2)
-        else:
-            lo, hi = norm23_bounds(p, args.eps)
-            _emit(args, json.dumps({"kind": "sandwich", "lower": lo, "upper": hi, "eps": args.eps}))
-            return 0
-    elif kind == "smin_iqp":
-        rep = smin_iqp(args.n, args.delta, args.eps, args.c2)
-    elif kind == "smin_design":
-        rep = smin_design(args.n, args.delta, args.eps, args.eps_tilde, args.c2)
-    elif kind == "smin_boson":
-        rep = smin_boson(args.n, args.m, args.delta, args.eps, args.zeta, args.C, args.c2)
-    elif kind == "smin_boson_b":
-        rep = smin_boson_full_space(args.n, args.eps, args.c2)
-    else:
-        raise InvalidParameterError(f"unknown bound kind {kind!r}")
-    _emit(args, rep.to_json())
-    return 0
+    return _BOUNDS[args.kind](args)
 
 
 def cmd_simulate(args):
-    from .rng import stream_rng
-
-    rng = stream_rng(args.seed, 0)
-    if args.ensemble == "iqp":
-        dist = iqp_output_distribution(IqpWeights.random(args.n, rng))
-    elif args.ensemble == "haar":
-        from .qsim import haar_state_distribution
-
-        dist = haar_state_distribution(args.n, rng)
-    elif args.ensemble == "rcs":
-        from .qsim import local_random_circuit_distribution
-
-        dist = local_random_circuit_distribution(args.n, args.depth, rng)
-    else:  # boson
-        inst = BosonInstance.haar(args.n, args.m, rng)
-        dist, outcomes = boson_distribution(inst)
-        if args.csv:
-            lines = ["occupation,probability"]
-            lines += [f"{occ},{float(prob)!r}" for occ, prob in zip(outcomes, dist.entries)]
-            _emit(args, "\n".join(lines) + "\n")
-            return 0
-    _emit(args, dist.to_bytes() if args.out and args.out.endswith(".pvec") else dist.to_json())
-    return 0
+    if args.csv and args.ensemble != "boson":
+        raise InvalidParameterError("--csv applies to the boson ensemble only")
+    ens = _make_ensemble(args)
+    if args.csv:
+        dist, outcomes = boson_distribution(ens.instance(0))
+        lines = ["occupation,probability"]
+        lines += [f"{occ},{float(prob)!r}" for occ, prob in zip(outcomes, dist.entries)]
+        return "\n".join(lines) + "\n"
+    dist = ens.instance_distribution(0)
+    return dist.to_bytes() if args.out and args.out.endswith(".pvec") else dist.to_json()
 
 
 def cmd_moments(args):
-    est = estimate_second_moments(_make_ensemble(args), args.instances, name=args.ensemble)
-    _emit(args, est.to_json())
-    return 0
+    return estimate_second_moments(_make_ensemble(args), args.instances, name=args.ensemble).to_json()
 
 
 def cmd_tail_check(args):
-    rep = min_entropy_tail_check(_make_ensemble(args), args.delta, args.instances)
-    _emit(args, rep.to_json())
-    return 0
+    return min_entropy_tail_check(_make_ensemble(args), args.delta, args.instances).to_json()
 
 
 def cmd_anticoncentration(args):
-    rep = anti_concentration_check(_make_ensemble(args), args.alpha, args.instances)
-    _emit(args, rep.to_json())
-    return 0
+    return anti_concentration_check(_make_ensemble(args), args.alpha, args.instances).to_json()
 
 
 def cmd_certify(args):
     target = _load_dist(args.target)
     samples = json.loads(Path(args.samples).read_text())
-    # bool is a subclass of int, and np.asarray would truncate floats silently
+    # bool is a subclass of int, and np.asarray([0, True]) is an int64 array
     if not isinstance(samples, list) or any(type(s) is not int for s in samples):
         raise InvalidParameterError(f"{args.samples} must hold a JSON array of integer outcome indices")
     cfg = TesterConfig(
         eps=args.eps, samples=len(samples), calibration_runs=args.calibration_runs, seed=args.seed
     )
-    verdict = CertificationTester(target, cfg).test(samples)
-    _emit(
-        args,
-        json.dumps(
-            {
-                "accept": verdict.accept,
-                "statistic": verdict.statistic,
-                "threshold": verdict.threshold,
-                "samples_used": verdict.samples_used,
-            }
-        ),
-    )
-    return 0
+    return json.dumps(asdict(CertificationTester(target, cfg).test(samples)))
 
 
 def cmd_complexity(args):
@@ -223,14 +192,12 @@ def cmd_complexity(args):
         "adversary_l1": l1_distance(p, adversary),
         "samples": s,
     }
-    _emit(args, json.dumps(out))
-    return 0
+    return json.dumps(out)
 
 
 def cmd_bs_tail(args):
     bound = bs_flatness_tail_bound(args.n, args.m, args.c, args.C)
-    _emit(args, json.dumps({"n": args.n, "m": args.m, "c": args.c, "C": args.C, "bound": bound}))
-    return 0
+    return json.dumps({"n": args.n, "m": args.m, "c": args.c, "C": args.C, "bound": bound})
 
 
 # -- parser -----------------------------------------------------------------
@@ -289,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--kind",
         default="vv_lower",
-        choices=["vv_lower", "vv_upper", "sandwich", "postselected", "smin_iqp", "smin_design", "smin_boson", "smin_boson_b"],
+        choices=list(_BOUNDS),
     )
     sp.add_argument("--dist")
     sp.add_argument("--eps", type=float, required=True)
@@ -370,7 +337,8 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # unknown flag -> usage text, exit 1
             return 0 if exc.code == 0 else 1
         args._started = datetime.now(timezone.utc).isoformat()
-        return args.func(args)
+        _emit(args, args.func(args))
+        return 0
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -98,15 +98,7 @@ class TailCheckReport:
     moment_sum: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "bound_bits": self.bound_bits,
-                "violation_fraction": self.violation_fraction,
-                "delta": self.delta,
-                "num_instances": self.num_instances,
-                "moment_sum": self.moment_sum,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def min_entropy_tail_check(
@@ -154,17 +146,7 @@ class AntiConcentrationReport:
     passed: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "alpha": self.alpha,
-                "gamma_hat": self.gamma_hat,
-                "floor": self.floor,
-                "std_error": self.std_error,
-                "outcome": self.outcome,
-                "num_instances": self.num_instances,
-                "passed": self.passed,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def anti_concentration_check(
@@ -172,13 +154,11 @@ def anti_concentration_check(
     alpha: float,
     num_instances: int,
     outcome: int = 0,
-    mean_override: float | None = None,
 ) -> AntiConcentrationReport:
     """Estimate Pr[P(S) >= alpha / |E|] for fixed S and compare to (1-alpha)^2 E[Z]^2 / E[Z^2].
 
-    E[Z] defaults to 1/|E| (the tested ensembles are unbiased over
-    outcomes); the second moment in the floor is estimated from the same
-    instances.
+    E[Z] is 1/|E| (the tested ensembles are unbiased over outcomes); the
+    second moment in the floor is estimated from the same instances.
     """
     if not 0 < alpha < 1:
         raise InvalidParameterError("alpha must be in (0, 1)")
@@ -192,7 +172,7 @@ def anti_concentration_check(
             if not 0 <= outcome < dim:
                 raise InvalidParameterError("outcome index out of range")
         values[i] = dist.entries[outcome]
-    mean_z = 1.0 / dim if mean_override is None else float(mean_override)
+    mean_z = 1.0 / dim
     second = float(np.mean(values**2))
     hits = values >= alpha / dim
     gamma_hat = float(np.mean(hits))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,11 +51,12 @@ class IqpWeights:
         object.__setattr__(self, "angle_set", tuple(float(a) for a in angles))
 
     @staticmethod
-    def random(n: int, rng: np.random.Generator, angle_set=DEFAULT_ANGLE_SET) -> "IqpWeights":
-        angles = np.asarray(angle_set, dtype=np.float64)
+    def random(n: int, rng: np.random.Generator) -> "IqpWeights":
+        """Weights drawn uniformly from DEFAULT_ANGLE_SET."""
+        angles = np.asarray(DEFAULT_ANGLE_SET, dtype=np.float64)
         w = angles[rng.integers(0, angles.size, size=(n, n))]
         w = np.triu(w) + np.triu(w, 1).T
-        return IqpWeights(n=n, angle_set=tuple(angles.tolist()), w=w)
+        return IqpWeights(n=n, angle_set=DEFAULT_ANGLE_SET, w=w)
 
     def to_json(self) -> str:
         upper = [float(self.w[i, j]) for i in range(self.n) for j in range(i, self.n)]
@@ -83,7 +84,6 @@ class CircuitEnsemble:
     n: int
     seed: int
     depth: int = 0
-    angle_set: tuple = field(default=DEFAULT_ANGLE_SET)
 
     def __post_init__(self):
         if self.kind not in CIRCUIT_KINDS:
@@ -100,17 +100,17 @@ class CircuitEnsemble:
         """Output distribution of the `instance`-th member (reproducible)."""
         rng = stream_rng(self.seed, instance)
         if self.kind == "iqp":
-            return iqp_output_distribution(IqpWeights.random(self.n, rng, self.angle_set))
+            return iqp_output_distribution(IqpWeights.random(self.n, rng))
         if self.kind == "haar_state":
             return haar_state_distribution(self.n, rng)
         return local_random_circuit_distribution(self.n, self.depth, rng)
 
 
-def _check_qubits(n: int, max_qubits: int = MAX_QUBITS):
+def _check_qubits(n: int):
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    if n > max_qubits:
-        raise ResourceLimitError(f"n = {n} exceeds the configured maximum of {max_qubits} qubits")
+    if n > MAX_QUBITS:
+        raise ResourceLimitError(f"n = {n} exceeds the configured maximum of {MAX_QUBITS} qubits")
 
 
 def fwht(a: np.ndarray) -> np.ndarray:

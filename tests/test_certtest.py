@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certbound import (
     CertificationTester,
@@ -67,6 +71,11 @@ class TestIdentityTest:
             tester.statistic(np.array([0, 1, 2, 4, 0, 1, 2, 3, 0, 1]))
         with pytest.raises(InvalidParameterError):
             tester.statistic(np.array([0, 1, 2]))
+        # neither floats nor booleans are outcome indices, even when they would truncate to valid ones
+        with pytest.raises(InvalidParameterError):
+            tester.statistic([0.9] * 5 + [1.7] * 5)
+        with pytest.raises(InvalidParameterError):
+            tester.statistic([True] * 10)
 
     def test_deterministic_given_samples(self):
         p = ProbVec.uniform(8)
@@ -174,6 +183,42 @@ class TestAdversaries:
 
     def test_registry(self):
         assert set(ADVERSARIES) == {"pairwise_shift", "tail_deletion", "max_inflation"}
+
+
+def _tail_deletion_loop(x: np.ndarray, distance: float) -> np.ndarray:
+    """Reference: take distance/2 off the entries in ascending order (ties at lowest index), then renormalize."""
+    q = x.copy()
+    remaining = distance / 2.0
+    for i in np.argsort(q, kind="stable"):
+        if remaining <= 0:
+            break
+        if q[i] == 0:
+            continue
+        t = min(q[i], remaining)
+        q[i] -= t
+        remaining -= t
+    return q / q.sum()
+
+
+# normalized targets with zeros and ties
+_targets = (
+    st.lists(st.one_of(st.just(0.0), st.sampled_from([1e-3, 0.1, 0.25]), st.floats(0.0, 1.0)), min_size=1, max_size=64)
+    .map(np.array)
+    .filter(lambda x: x.sum() > 0)
+    .map(lambda x: x / x.sum())
+)
+
+
+class TestTailDeletionProperties:
+    @settings(deadline=None)
+    @given(_targets, st.floats(0.0, 1.5))
+    def test_matches_loop_oracle(self, x, distance):
+        out = tail_deletion_adversary(ProbVec(x), distance).entries
+        assert np.max(np.abs(out - _tail_deletion_loop(x, distance))) <= 1e-12
+        # before renormalization, exactly distance/2 was taken off, and nothing was added
+        deleted = x - out * (1.0 - distance / 2.0)
+        assert deleted.min() >= -1e-12
+        assert abs(math.fsum(deleted.tolist()) - distance / 2.0) <= 1e-12
 
 
 class TestEmpiricalSampleComplexity:

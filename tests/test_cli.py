@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from certbound import ProbVec, sample_outcomes
+from certbound import ProbVec, bounds, sample_outcomes
+from certbound.boson import BosonEnsemble, boson_distribution
 from certbound.cli import build_parser, main
+from certbound.qsim import CircuitEnsemble
 
 
 def run(capsys, *argv):
@@ -60,6 +63,25 @@ class TestBounds:
         data = json.loads(out)
         assert code == 0
         assert data["value"] == pytest.approx((1 / 0.0025) * 0.5 * 2 * 0.75**1.5, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "kind, flags, expected",
+        [
+            ("vv_lower", ["--dist", "uniform:64", "--c2", "2"], lambda: bounds.vv_lower_bound(ProbVec.uniform(64), 0.1, 2.0)),
+            ("vv_upper", ["--dist", "uniform:64", "--c1", "3"], lambda: bounds.vv_upper_bound(ProbVec.uniform(64), 0.1, 3.0)),
+            ("postselected", ["--dist", "uniform:8", "--subset", "1,2"],
+             lambda: bounds.postselected_lower_bound(ProbVec.uniform(8), [1, 2], 0.1, 1.0)),
+            ("smin_iqp", ["--n", "10", "--delta", "0.3"], lambda: bounds.smin_iqp(10, 0.3, 0.1, 1.0)),
+            ("smin_design", ["--n", "10", "--eps-tilde", "0.01"], lambda: bounds.smin_design(10, 0.5, 0.1, 0.01, 1.0)),
+            ("smin_boson", ["--n", "4", "--m", "1024", "--C", "1"],
+             lambda: bounds.smin_boson(4, 1024, 0.5, 0.1, 0.25, 1.0, 1.0)),
+            ("smin_boson_b", ["--n", "4"], lambda: bounds.smin_boson_full_space(4, 0.1, 1.0)),
+        ],
+    )
+    def test_each_kind_reaches_its_bound(self, capsys, kind, flags, expected):
+        code, out, _ = run(capsys, "bounds", "--kind", kind, "--eps", "0.1", *flags)
+        assert code == 0
+        assert out == expected().to_json() + "\n"
 
     def test_smin_kinds(self, capsys):
         code, out, _ = run(
@@ -119,6 +141,25 @@ class TestSimulate:
         assert lines[1].startswith("200,")
         total = sum(float(line.split(",")[1]) for line in lines[1:])
         assert total == pytest.approx(1.0, abs=1e-8)
+        dist, outcomes = boson_distribution(BosonEnsemble(2, 3, 5).instance(0))
+        assert lines[1:] == [f"{occ},{float(p)!r}" for occ, p in zip(outcomes, dist.entries)]
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    @pytest.mark.parametrize(
+        "argv, ensemble",
+        [
+            (["iqp", "--n", "4"], CircuitEnsemble("iqp", 4, 0)),
+            (["haar", "--n", "3"], CircuitEnsemble("haar_state", 3, 0)),
+            (["rcs", "--n", "3", "--depth", "6"], CircuitEnsemble("local_random", 3, 0, depth=6)),
+            (["boson", "--n", "2", "--m", "4"], BosonEnsemble(2, 4, 0)),
+        ],
+    )
+    def test_writes_instance_0_of_the_sweeps_ensemble(self, tmp_path, capsys, argv, ensemble, seed):
+        out_file = tmp_path / "dist.pvec"
+        code, _, _ = run(capsys, "simulate", *argv, "--seed", str(seed), "--out", str(out_file))
+        assert code == 0
+        expected = dataclasses.replace(ensemble, seed=seed).instance_distribution(0)
+        assert out_file.read_bytes() == expected.to_bytes()
 
     def test_resource_limit_exit_code(self, capsys):
         code, _, err = run(capsys, "simulate", "iqp", "--n", "25", "--seed", "0")
@@ -227,6 +268,7 @@ class TestMalformedInput:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+        return err
 
     def test_config_without_path(self, capsys):
         self.assert_one_line_error(capsys, "norms", "--dist", "uniform:4", "--config")
@@ -255,3 +297,20 @@ class TestMalformedInput:
         assert build_parser().parse_args(["bs-tail", "--n", "2", "--m", "2"]).threads == 1
         code, out, _ = run(capsys, "bs-tail", "--n", "2", "--m", "2", "--threads", "2")
         assert code == 1 and out == ""
+
+    @pytest.mark.parametrize("kind", ["vv_lower", "vv_upper", "sandwich", "postselected"])
+    def test_bound_without_dist(self, capsys, kind):
+        err = self.assert_one_line_error(capsys, "bounds", "--kind", kind, "--eps", "0.1", "--subset", "0")
+        assert "--dist" in err
+
+    @pytest.mark.parametrize("subset", [[], ["--subset", "0,a"]])
+    def test_postselected_without_a_subset(self, capsys, subset):
+        err = self.assert_one_line_error(
+            capsys, "bounds", "--kind", "postselected", "--dist", "uniform:8", "--eps", "0.1", *subset
+        )
+        assert "--subset" in err
+
+    @pytest.mark.parametrize("ensemble", ["iqp", "haar", "rcs"])
+    def test_csv_is_boson_only(self, capsys, ensemble):
+        err = self.assert_one_line_error(capsys, "simulate", ensemble, "--n", "2", "--csv")
+        assert "--csv" in err
