@@ -13,13 +13,15 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import erfc
 
 from .distvec import ProbVec
 from .errors import InvalidParameterError, ResourceLimitError, MAX_OUTCOMES
-from .rng import as_rng, stream_rng
+from .qsim import haar_unitary
+from .rng import stream_rng
 
 _CHUNK_ENTRIES = 1 << 16  # subset sums gathered per chunk of the batched Ryser kernel: 1 MB of scratch
 
@@ -73,10 +75,8 @@ class BosonInstance:
         object.__setattr__(self, "U", U)
 
     @staticmethod
-    def haar(n: int, m: int, seed_or_rng) -> "BosonInstance":
-        from .qsim import haar_unitary
-
-        return BosonInstance(n=n, m=m, U=haar_unitary(m, seed_or_rng))
+    def haar(n: int, m: int, rng: np.random.Generator) -> "BosonInstance":
+        return BosonInstance(n=n, m=m, U=haar_unitary(m, rng))
 
     def to_json(self) -> str:
         interleaved = np.empty(2 * self.m * self.m)
@@ -191,20 +191,18 @@ def collision_weight(inst: BosonInstance) -> float:
     return float(math.fsum(p.entries[colliding].tolist()))
 
 
-def gaussian_repeated_sample(s, n: int, sigma: float, seed_or_rng) -> np.ndarray:
-    """One draw of the row-repeated complex Gaussian measure for occupation s.
+def gaussian_repeated_sample(occ: ModeOccupation, n: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """One draw of the row-repeated complex Gaussian measure for occupation occ.
 
     An |S-tilde| x n matrix of i.i.d. complex Gaussians (real and imaginary
     parts mean 0, s.d. sigma) has row j repeated s-tilde_j times, where
-    S-tilde drops the zero occupations of s.
+    S-tilde drops the zero occupations of occ.
     """
     if sigma <= 0:
         raise InvalidParameterError("sigma must be > 0")
-    occ = s if isinstance(s, ModeOccupation) else ModeOccupation(tuple(s))
     if occ.n != n:
         raise InvalidParameterError("occupation must sum to n")
     tilde = [x for x in occ.s if x > 0]
-    rng = as_rng(seed_or_rng)
     base = sigma * (rng.standard_normal((len(tilde), n)) + 1j * rng.standard_normal((len(tilde), n)))
     return np.repeat(base, tilde, axis=0)
 
@@ -276,7 +274,7 @@ class BosonEnsemble:
     n: int
     m: int
     seed: int
-    kind: str = "boson"
+    kind: ClassVar[str] = "boson"
 
     @property
     def sample_space_size(self) -> int:

@@ -10,6 +10,10 @@ has unlimited computational power, so resampling the target is allowed).
 
 Behavior in the gap region 0 < ||P - Q||_1 <= eps is unspecified and the
 tester may answer either way there.
+
+Every adversary in `ADVERSARIES` returns a normalized distribution at l1
+distance `distance` from p, or raises InvalidParameterError when p admits
+none of its kind.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ class TesterConfig:
     eps: float
     samples: int
     calibration_runs: int = 300
-    threshold: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -66,7 +69,7 @@ class TestVerdict:
 class CertificationTester:
     """Calibrated identity tester for a fixed target distribution and sample size.
 
-    `threshold` is the one in force: `cfg.threshold` when given, else the calibrated one.
+    `threshold` is the null quantile that calibration under `cfg.seed` sets.
     """
 
     def __init__(self, p: ProbVec, cfg: TesterConfig):
@@ -82,8 +85,7 @@ class CertificationTester:
         mask[self.max_index] = False
         self.tail = np.flatnonzero(mask)
         self.tail_weight = float(p.entries[self.tail].sum())
-        calibrated = self._calibrate()
-        self.threshold = calibrated if cfg.threshold is None else cfg.threshold
+        self.threshold = self._calibrate()
 
     # -- statistics ------------------------------------------------------
 
@@ -176,7 +178,8 @@ def pairwise_shift_adversary(p: ProbVec, distance: float) -> ProbVec:
 
 
 def tail_deletion_adversary(p: ProbVec, distance: float) -> ProbVec:
-    """Delete exactly distance/2 of weight from the smallest entries and renormalize.
+    """Delete distance/2 of weight from the smallest entries and give it, in proportion,
+    to the entries left whole, so the l1 distance is exactly `distance`.
 
     `truncate_tail` zeroes the smallest entries whose weight fits; the rest
     of distance/2 comes off the smallest nonzero entry left (ties at lowest index).
@@ -185,16 +188,19 @@ def tail_deletion_adversary(p: ProbVec, distance: float) -> ProbVec:
     if w >= 1.0:
         raise InvalidParameterError("cannot delete a full unit of weight")
     q = truncate_tail(p, w).entries.copy()
-    remaining = w - float(np.sum(p.entries[q == 0]))
-    rest = np.flatnonzero(q)
-    if remaining > 0 and rest.size:
-        j = rest[np.argmin(q[rest])]
+    remaining = w - math.fsum(p.entries[q == 0].tolist())
+    whole = np.flatnonzero(q)
+    if remaining > 0 and whole.size:
+        j = whole[np.argmin(q[whole])]
         cut = min(q[j], remaining)
         q[j] -= cut
         remaining -= cut
-    if remaining > 1e-12:
+        whole = whole[whole != j]
+    if remaining > 1e-12 or not whole.size:
         raise InvalidParameterError("target distance not reachable by tail deletion")
-    return ProbVec(q / q.sum())
+    kept = math.fsum(q[whole].tolist())
+    q[whole] *= (kept + w) / kept
+    return ProbVec(q)
 
 
 def max_inflation_adversary(p: ProbVec, distance: float) -> ProbVec:
@@ -236,7 +242,7 @@ def empirical_sample_complexity(
         raise InvalidParameterError("adversary not eps-far from the target")
 
     def passes(s: int) -> bool:
-        tester = CertificationTester(p, replace(cfg, samples=s, threshold=None))
+        tester = CertificationTester(p, replace(cfg, samples=s))
         if tester.accept_rate(p, trials, stream=1) < 2.0 / 3.0:
             return False
         return tester.accept_rate(adversary, trials, stream=2) < 1.0 / 3.0

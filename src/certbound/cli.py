@@ -61,7 +61,7 @@ def _load_dist(spec: str) -> ProbVec:
 def _emit(args, payload: str | bytes):
     """Print the result, or write it (text or binary) to --out with a manifest beside it."""
     if not getattr(args, "out", None):
-        print(payload)
+        print(payload, end="" if payload.endswith("\n") else "\n")
         return
     p = Path(args.out)
     if isinstance(payload, bytes):
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("norms", help="quasi-norms and entropies of a distribution file")
     sp.add_argument("--dist", required=True)
     sp.add_argument("--eps", type=float, default=0.0)
-    common(sp)
+    common(sp, seed=False)
     sp.set_defaults(func=cmd_norms)
 
     sp = sub.add_parser("bounds", help="evaluate a certification sample-complexity bound")
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps-tilde", dest="eps_tilde", type=float, default=0.0)
     sp.add_argument("--zeta", type=float, default=0.25)
     sp.add_argument("--C", type=float, default=0.0)
-    common(sp)
+    common(sp, seed=False)
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("simulate", help="write one instance's output distribution")

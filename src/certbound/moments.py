@@ -1,8 +1,8 @@
 """Monte-Carlo second-moment estimation and the min-entropy / anti-concentration checks.
 
-An ensemble is anything with an `instance_distribution(i) -> ProbVec`
-method (see qsim.CircuitEnsemble) or a plain callable mapping an instance
-index to a ProbVec.  Instances are evaluated one after another, and
+An ensemble is an object with an `instance_distribution(i) -> ProbVec`
+method, a `kind` name and a `seed` (qsim.CircuitEnsemble,
+boson.BosonEnsemble).  Instances are evaluated one after another, and
 instance i always uses RNG stream (seed, i), so estimates are bit-for-bit
 reproducible from the seed alone.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,9 +21,8 @@ from .errors import InvalidParameterError
 
 def _instances(ensemble, num_instances: int):
     """Instance distributions in index order."""
-    get = ensemble.instance_distribution if hasattr(ensemble, "instance_distribution") else ensemble
     for i in range(num_instances):
-        yield get(i)
+        yield ensemble.instance_distribution(i)
 
 
 @dataclass(frozen=True)
@@ -35,55 +34,33 @@ class MomentEstimate:
     sum_second_moments: float
     std_error: float
     seed: int
-    per_outcome: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         if self.std_error < 0:
             raise InvalidParameterError("std_error must be >= 0")
 
     def to_json(self) -> str:
-        data = {
-            "ensemble": self.ensemble,
-            "num_instances": self.num_instances,
-            "sum_second_moments": self.sum_second_moments,
-            "std_error": self.std_error,
-            "seed": self.seed,
-        }
-        if self.per_outcome is not None:
-            data["per_outcome"] = self.per_outcome.tolist()
-        return json.dumps(data)
+        return json.dumps(asdict(self))
 
 
-def estimate_second_moments(
-    ensemble,
-    num_instances: int,
-    name: str = "",
-    per_outcome: bool = False,
-) -> MomentEstimate:
+def estimate_second_moments(ensemble, num_instances: int, name: str = "") -> MomentEstimate:
     """Average of sum_S P(S)^2 (= 2^-H2) over `num_instances` fresh instances.
 
-    The report carries the ensemble's own seed (0 for a plain callable).
+    The report is named `name`, or the ensemble's kind, and carries the ensemble's seed.
     """
     if num_instances < 2:
         raise InvalidParameterError("need at least 2 instances")
     collisions = np.empty(num_instances)
-    outcome_acc = None
     for i, dist in enumerate(_instances(ensemble, num_instances)):
-        sq = dist.entries**2
-        collisions[i] = math.fsum(sq.tolist())
-        if per_outcome:
-            if outcome_acc is None:
-                outcome_acc = np.zeros_like(sq)
-            outcome_acc += sq
+        collisions[i] = math.fsum((dist.entries**2).tolist())
     mean = float(np.mean(collisions))
     se = float(np.std(collisions, ddof=1) / math.sqrt(num_instances))
     return MomentEstimate(
-        ensemble=name or getattr(ensemble, "kind", "callable"),
+        ensemble=name or ensemble.kind,
         num_instances=num_instances,
         sum_second_moments=mean,
         std_error=se,
-        seed=getattr(ensemble, "seed", 0),
-        per_outcome=None if outcome_acc is None else outcome_acc / num_instances,
+        seed=ensemble.seed,
     )
 
 
@@ -101,16 +78,10 @@ class TailCheckReport:
         return json.dumps(asdict(self))
 
 
-def min_entropy_tail_check(
-    ensemble,
-    delta: float,
-    num_instances: int,
-    moment_sum: float | None = None,
-) -> TailCheckReport:
+def min_entropy_tail_check(ensemble, delta: float, num_instances: int) -> TailCheckReport:
     """Fraction of instances with H_inf below (log2 delta - log2 sum_S E[P^2]) / 2.
 
-    The moment sum may be supplied exactly; otherwise it is estimated from
-    the same instance draw.
+    The moment sum is estimated from the same instance draw.
     """
     if not 0 < delta <= 1:
         raise InvalidParameterError("delta must be in (0, 1]")
@@ -121,7 +92,7 @@ def min_entropy_tail_check(
     for i, dist in enumerate(_instances(ensemble, num_instances)):
         entropies[i] = min_entropy(dist)
         collisions[i] = math.fsum((dist.entries**2).tolist())
-    ms = float(np.mean(collisions)) if moment_sum is None else float(moment_sum)
+    ms = float(np.mean(collisions))
     bound = 0.5 * (math.log2(delta) - math.log2(ms))
     violations = float(np.mean(entropies < bound))
     return TailCheckReport(

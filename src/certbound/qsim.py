@@ -15,7 +15,7 @@ import numpy as np
 
 from .distvec import ProbVec
 from .errors import InvalidParameterError, ResourceLimitError, MAX_QUBITS
-from .rng import as_rng, stream_rng
+from .rng import stream_rng
 
 DEFAULT_ANGLE_SET = tuple(k * math.pi / 8 for k in range(8))
 
@@ -159,7 +159,7 @@ def iqp_output_distribution(w: IqpWeights) -> ProbVec:
     return ProbVec(probs / probs.sum())
 
 
-def haar_unitary(d: int, seed_or_rng) -> np.ndarray:
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random d x d unitary via QR of a complex Ginibre matrix.
 
     The diagonal of R is rephased to positive reals, which makes the QR map
@@ -167,7 +167,6 @@ def haar_unitary(d: int, seed_or_rng) -> np.ndarray:
     """
     if d < 1:
         raise InvalidParameterError("d must be >= 1")
-    rng = as_rng(seed_or_rng)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
@@ -175,26 +174,24 @@ def haar_unitary(d: int, seed_or_rng) -> np.ndarray:
     return q * phases
 
 
-def haar_state_distribution(n: int, seed_or_rng) -> ProbVec:
+def haar_state_distribution(n: int, rng: np.random.Generator) -> ProbVec:
     """|<S|psi>|^2 for a Haar-random state on 2^n dimensions.
 
     Drawn directly as a normalized complex Gaussian vector, which has the
     same distribution as the first column of a Haar unitary.
     """
     _check_qubits(n)
-    rng = as_rng(seed_or_rng)
     dim = 2**n
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     probs = np.abs(psi) ** 2
     return ProbVec(probs / probs.sum())
 
 
-def local_random_circuit_distribution(n: int, depth: int, seed_or_rng) -> ProbVec:
+def local_random_circuit_distribution(n: int, depth: int, rng: np.random.Generator) -> ProbVec:
     """Output distribution of `depth` Haar two-qubit gates on random 1-D neighbor pairs."""
     _check_qubits(n)
     if depth < 0:
         raise InvalidParameterError("depth must be >= 0")
-    rng = as_rng(seed_or_rng)
     dim = 2**n
     psi = np.zeros(dim, dtype=np.complex128)
     psi[0] = 1.0
@@ -219,13 +216,12 @@ def _apply_two_qubit_gate(psi: np.ndarray, gate: np.ndarray, q: int, n: int) -> 
     return np.ascontiguousarray(psi).reshape(-1)
 
 
-def sample_outcomes(p: ProbVec, count: int, seed_or_rng) -> np.ndarray:
-    """Draw `count` i.i.d. outcome indices by inverse CDF; reproducible given the seed."""
+def sample_outcomes(p: ProbVec, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw `count` i.i.d. outcome indices by inverse CDF from `rng`."""
     if not p.normalized:
         raise InvalidParameterError("sample_outcomes requires a normalized distribution")
     if count < 0:
         raise InvalidParameterError("count must be >= 0")
-    rng = as_rng(seed_or_rng)
     cdf = np.cumsum(p.entries)
     cdf[-1] = 1.0
     u = rng.random(count)

@@ -4,7 +4,9 @@ All Monte-Carlo code in this package draws its randomness through
 `stream_rng`, which derives an independent counter-based (Philox) stream
 from a 64-bit root seed and an arbitrary tuple of stream identifiers.
 A stream's draws therefore depend only on the seed and its identifiers,
-not on which other streams were drawn before it.
+not on which other streams were drawn before it.  Library calls that draw
+take the `np.random.Generator` itself, as a parameter named `rng`;
+`stream_rng(seed)` is the root stream of a seed.
 """
 
 from __future__ import annotations
@@ -17,9 +19,3 @@ def stream_rng(seed: int, *stream: int) -> np.random.Generator:
     key = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(key))
 
-
-def as_rng(seed_or_rng) -> np.random.Generator:
-    """Pass a Generator through; turn an integer seed into the root stream of that seed."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return stream_rng(int(seed_or_rng))

@@ -1,10 +1,25 @@
-"""Shared fixtures: a reproducible corpus of random probability vectors."""
+"""Shared fixtures: a reproducible corpus of random probability vectors, one
+hypothesis profile that draws the same examples on every run, and the
+normalized-target strategy of the property tests."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from certbound import ProbVec
 from certbound.rng import stream_rng
+
+settings.register_profile("certbound", derandomize=True, database=None, deadline=None)
+settings.load_profile("certbound")
+
+# normalized probability arrays with zeros and ties, as flat and sparse targets have them
+normalized_targets = (
+    st.lists(st.one_of(st.just(0.0), st.sampled_from([1e-3, 0.1, 0.25]), st.floats(0.0, 1.0)), min_size=1, max_size=64)
+    .map(np.array)
+    .filter(lambda x: x.sum() > 0)
+    .map(lambda x: x / x.sum())
+)
 
 
 def random_probvec(rng: np.random.Generator, dim: int) -> ProbVec:

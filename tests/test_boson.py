@@ -201,9 +201,9 @@ class TestGaussianMeasure:
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            gaussian_repeated_sample(ModeOccupation((1, 1)), 3, 1.0, 0)
+            gaussian_repeated_sample(ModeOccupation((1, 1)), 3, 1.0, stream_rng(0))
         with pytest.raises(InvalidParameterError):
-            gaussian_repeated_sample(ModeOccupation((1, 1)), 2, 0.0, 0)
+            gaussian_repeated_sample(ModeOccupation((1, 1)), 2, 0.0, stream_rng(0))
 
 
 class TestConcentrationBound:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from certbound import (
     ProbVec,
@@ -20,7 +22,7 @@ from certbound import (
 from certbound.bounds import UNSPECIFIED_CONSTANT_NOTE, BoundReport
 from certbound.errors import InvalidParameterError
 
-from conftest import corpus
+from conftest import corpus, normalized_targets
 
 
 class TestBoundReport:
@@ -102,6 +104,24 @@ class TestNorm23Bounds:
                 true = lp_quasinorm(truncated_core(v, eps), 2 / 3)
                 assert lo <= true + 1e-9
                 assert true <= hi + 1e-9
+
+
+_targets = normalized_targets.map(ProbVec)
+# two eps values in (0, 1), the smaller first
+_eps_pairs = st.lists(st.floats(1e-3, 0.999), min_size=2, max_size=2).map(sorted)
+
+
+class TestMonotoneInEps:
+    @given(_targets, _eps_pairs)
+    def test_vv_bounds_do_not_increase(self, p, eps):
+        small, large = eps
+        assert vv_lower_bound(p, small).value >= vv_lower_bound(p, large).value
+        assert vv_upper_bound(p, small).value >= vv_upper_bound(p, large).value
+
+    @given(_targets, _eps_pairs)
+    def test_norm23_terms_do_not_increase(self, p, eps):
+        (lo_small, hi_small), (lo_large, hi_large) = (norm23_bounds(p, e) for e in eps)
+        assert lo_small >= lo_large and hi_small >= hi_large
 
 
 class TestPostselected:

@@ -1,8 +1,6 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from certbound import (
@@ -23,6 +21,8 @@ from certbound.certtest import (
 )
 from certbound.errors import InvalidParameterError
 from certbound.rng import stream_rng
+
+from conftest import normalized_targets
 
 
 class TestTesterConfig:
@@ -58,7 +58,7 @@ class TestIdentityTest:
     def test_verdict_fields(self):
         p = ProbVec.uniform(8)
         cfg = TesterConfig(eps=0.5, samples=100, seed=1)
-        samples = sample_outcomes(p, 100, 3)
+        samples = sample_outcomes(p, 100, stream_rng(3))
         verdict = CertificationTester(p, cfg).test(samples)
         assert verdict.samples_used == 100
         assert verdict.accept == (verdict.statistic <= verdict.threshold)
@@ -80,7 +80,7 @@ class TestIdentityTest:
     def test_deterministic_given_samples(self):
         p = ProbVec.uniform(8)
         cfg = TesterConfig(eps=0.5, samples=64, seed=5)
-        samples = sample_outcomes(p, 64, 9)
+        samples = sample_outcomes(p, 64, stream_rng(9))
         a = CertificationTester(p, cfg).test(samples)
         b = CertificationTester(p, cfg).test(samples)
         assert a.statistic == b.statistic and a.accept == b.accept
@@ -136,14 +136,6 @@ class TestChunkedSampling:
             rate = float(np.mean(np.max((comps - centers) / scales, axis=1) <= threshold))
             assert tester.accept_rate(dist, 101, stream=stream) == rate
 
-    def test_threshold_override_applies_to_test_and_accept_rate(self):
-        p = ProbVec.uniform(8)
-        cfg = TesterConfig(eps=0.5, samples=40, seed=3, threshold=-1e9)
-        tester = CertificationTester(p, cfg)
-        assert tester.threshold == -1e9
-        assert not tester.test(sample_outcomes(p, 40, 1)).accept
-        assert tester.accept_rate(p, 100, stream=1) == 0.0
-
     def test_accept_rate_needs_a_trial(self):
         p = ProbVec.uniform(4)
         tester = CertificationTester(p, TesterConfig(eps=0.5, samples=10))
@@ -185,8 +177,8 @@ class TestAdversaries:
         assert set(ADVERSARIES) == {"pairwise_shift", "tail_deletion", "max_inflation"}
 
 
-def _tail_deletion_loop(x: np.ndarray, distance: float) -> np.ndarray:
-    """Reference: take distance/2 off the entries in ascending order (ties at lowest index), then renormalize."""
+def _tail_deletion_cut(x: np.ndarray, distance: float) -> np.ndarray:
+    """Reference: take distance/2 off the entries in ascending order (ties at lowest index), adding nothing back."""
     q = x.copy()
     remaining = distance / 2.0
     for i in np.argsort(q, kind="stable"):
@@ -197,28 +189,44 @@ def _tail_deletion_loop(x: np.ndarray, distance: float) -> np.ndarray:
         t = min(q[i], remaining)
         q[i] -= t
         remaining -= t
-    return q / q.sum()
-
-
-# normalized targets with zeros and ties
-_targets = (
-    st.lists(st.one_of(st.just(0.0), st.sampled_from([1e-3, 0.1, 0.25]), st.floats(0.0, 1.0)), min_size=1, max_size=64)
-    .map(np.array)
-    .filter(lambda x: x.sum() > 0)
-    .map(lambda x: x / x.sum())
-)
+    return q
 
 
 class TestTailDeletionProperties:
-    @settings(deadline=None)
-    @given(_targets, st.floats(0.0, 1.5))
-    def test_matches_loop_oracle(self, x, distance):
-        out = tail_deletion_adversary(ProbVec(x), distance).entries
-        assert np.max(np.abs(out - _tail_deletion_loop(x, distance))) <= 1e-12
-        # before renormalization, exactly distance/2 was taken off, and nothing was added
-        deleted = x - out * (1.0 - distance / 2.0)
-        assert deleted.min() >= -1e-12
-        assert abs(math.fsum(deleted.tolist()) - distance / 2.0) <= 1e-12
+    @given(normalized_targets, st.floats(0.0, 1.5))
+    def test_cut_matches_the_loop(self, x, distance):
+        try:
+            out = tail_deletion_adversary(ProbVec(x), distance).entries
+        except InvalidParameterError:
+            # only the largest entry is left to cut, so no entry would stay whole to take the weight back
+            assert distance / 2.0 >= 1.0 - x.max() - 1e-12
+            return
+        # entries the adversary lowered are the loop's cut; all others the loop leaves as they are
+        assert np.max(np.abs(np.minimum(out, x) - _tail_deletion_cut(x, distance))) <= 1e-12
+
+    @given(normalized_targets, st.floats(0.0, 1.5))
+    def test_entries_left_whole_share_one_scale(self, x, distance):
+        try:
+            out = tail_deletion_adversary(ProbVec(x), distance).entries
+        except InvalidParameterError:
+            return
+        whole = (out >= x) & (x > 0)
+        assert whole.any()
+        scale = out[whole] / x[whole]
+        assert scale.max() - scale.min() <= 1e-12
+
+
+class TestAdversaryProperties:
+    @given(normalized_targets, st.floats(0.0, 1.5))
+    def test_reaches_its_distance(self, x, distance):
+        p = ProbVec(x)
+        for name, adversary in ADVERSARIES.items():
+            try:
+                q = adversary(p, distance)
+            except InvalidParameterError:
+                continue
+            assert abs(l1_distance(p, q) - distance) <= 1e-12, name
+            assert q.normalized, name
 
 
 class TestEmpiricalSampleComplexity:

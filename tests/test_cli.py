@@ -9,6 +9,7 @@ from certbound import ProbVec, bounds, sample_outcomes
 from certbound.boson import BosonEnsemble, boson_distribution
 from certbound.cli import build_parser, main
 from certbound.qsim import CircuitEnsemble
+from certbound.rng import stream_rng
 
 
 def run(capsys, *argv):
@@ -144,6 +145,14 @@ class TestSimulate:
         dist, outcomes = boson_distribution(BosonEnsemble(2, 3, 5).instance(0))
         assert lines[1:] == [f"{occ},{float(p)!r}" for occ, p in zip(outcomes, dist.entries)]
 
+    def test_boson_csv_stdout_equals_out_file(self, tmp_path, capsys):
+        argv = ["simulate", "boson", "--n", "3", "--m", "6", "--csv"]
+        out_file = tmp_path / "dist.csv"
+        code, _, _ = run(capsys, *argv, "--out", str(out_file))
+        assert code == 0
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == out_file.read_text()
+
     @pytest.mark.parametrize("seed", [0, 7, 12345])
     @pytest.mark.parametrize(
         "argv, ensemble",
@@ -201,7 +210,7 @@ class TestCertify:
         target = tmp_path / "p.json"
         target.write_text(p.to_json())
         samples = tmp_path / "s.json"
-        samples.write_text(json.dumps(sample_outcomes(p, 200, 5).tolist()))
+        samples.write_text(json.dumps(sample_outcomes(p, 200, stream_rng(5)).tolist()))
         code, out, _ = run(
             capsys, "certify", "--target", str(target), "--samples", str(samples), "--eps", "0.5",
         )
@@ -297,6 +306,12 @@ class TestMalformedInput:
         assert build_parser().parse_args(["bs-tail", "--n", "2", "--m", "2"]).threads == 1
         code, out, _ = run(capsys, "bs-tail", "--n", "2", "--m", "2", "--threads", "2")
         assert code == 1 and out == ""
+
+    @pytest.mark.parametrize("argv", [["norms", "--dist", "uniform:8"], ["bounds", "--dist", "uniform:8", "--eps", "0.1"]])
+    def test_seed_is_no_flag_of_norms_or_bounds(self, capsys, argv):
+        # neither command draws, so a --seed would only be recorded in the manifest
+        code, out, err = run(capsys, *argv, "--seed", "99")
+        assert code == 1 and out == "" and "--seed" in err
 
     @pytest.mark.parametrize("kind", ["vv_lower", "vv_upper", "sandwich", "postselected"])
     def test_bound_without_dist(self, capsys, kind):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from certbound import (
@@ -45,7 +45,7 @@ class TestProbVec:
         # NORMALIZATION_TOL is 1e-9; sums just inside and just outside it at 2^20 entries
         assert ProbVec(np.full(2**20, (1 + 5e-10) / 2**20)).normalized
         assert not ProbVec(np.full(2**20, (1 + 2e-9) / 2**20)).normalized
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(TypeError):
             ProbVec(np.array([0.5, 0.4]), normalized=True)
 
     def test_entries_immutable(self):
@@ -206,13 +206,11 @@ _eps = st.floats(0.0, 2.0)
 
 
 class TestTruncateTailProperties:
-    @settings(deadline=None)
     @given(_entries, _eps)
     def test_removes_at_most_eps(self, x, eps):
         out = truncate_tail(ProbVec(x), eps).entries
         assert math.fsum(x[out != x].tolist()) <= eps + 1e-12
 
-    @settings(deadline=None)
     @given(_entries, _eps)
     def test_removal_is_maximal(self, x, eps):
         out = truncate_tail(ProbVec(x), eps).entries
@@ -220,10 +218,34 @@ class TestTruncateTailProperties:
         if survivors.size:
             assert math.fsum(x[out != x].tolist()) + survivors.min() > eps - 1e-12
 
-    @settings(deadline=None)
     @given(_entries, _eps)
     def test_matches_loop_oracle(self, x, eps):
         assert np.array_equal(truncate_tail(ProbVec(x), eps).entries, _truncate_tail_loop(x, eps))
+
+    @given(_entries, _eps)
+    def test_core_never_raises_the_2_3_norm(self, x, eps):
+        v = ProbVec(x)
+        assert lp_quasinorm(truncated_core(v, eps), 2 / 3) <= lp_quasinorm(v, 2 / 3)
+
+
+# any finite non-negative entries, with zeros, subnormals and single entries drawn often
+_any_entries = st.lists(
+    st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-310]), st.floats(0.0, 1.0)),
+    min_size=1,
+    max_size=64,
+).map(np.array)
+
+
+class TestRoundTripProperties:
+    @given(_any_entries)
+    def test_json_round_trip_is_exact(self, x):
+        v = ProbVec(x)
+        assert ProbVec.from_json(v.to_json()).entries.tobytes() == v.entries.tobytes()
+
+    @given(_any_entries)
+    def test_pvec_round_trip_is_exact(self, x):
+        v = ProbVec(x)
+        assert ProbVec.from_bytes(v.to_bytes()).entries.tobytes() == v.entries.tobytes()
 
 
 class TestEntropies:

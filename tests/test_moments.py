@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from certbound.moments import MomentEstimate
 
 
 def fixed_ensemble(p: ProbVec):
-    return lambda i: p
+    return SimpleNamespace(kind="fixed", seed=0, instance_distribution=lambda i: p)
 
 
 class TestEstimateSecondMoments:
@@ -60,12 +61,6 @@ class TestEstimateSecondMoments:
         assert estimate_second_moments(CircuitEnsemble(kind="haar_state", n=2, seed=9), 10).seed == 9
         assert estimate_second_moments(fixed_ensemble(ProbVec.uniform(2)), 10).seed == 0
 
-    def test_per_outcome_mode(self):
-        e = CircuitEnsemble(kind="haar_state", n=2, seed=5)
-        est = estimate_second_moments(e, 500, per_outcome=True)
-        assert est.per_outcome.shape == (4,)
-        assert math.fsum(est.per_outcome.tolist()) == pytest.approx(est.sum_second_moments, rel=1e-9)
-
     def test_boson_ensemble_works(self):
         e = BosonEnsemble(2, 5, seed=1)
         est = estimate_second_moments(e, 50)
@@ -99,13 +94,6 @@ class TestMinEntropyTailCheck:
             rep = min_entropy_tail_check(e, delta=delta, num_instances=1000)
             se = math.sqrt(delta * (1 - delta) / 1000)
             assert rep.violation_fraction <= delta + 4 * se
-
-    def test_exact_moment_sum_override(self):
-        e = CircuitEnsemble(kind="haar_state", n=3, seed=2)
-        exact = 2.0 / 9.0
-        rep = min_entropy_tail_check(e, delta=0.2, num_instances=100, moment_sum=exact)
-        assert rep.moment_sum == exact
-        assert rep.bound_bits == pytest.approx(0.5 * (math.log2(0.2) - math.log2(exact)), rel=1e-12)
 
     def test_validation(self):
         e = CircuitEnsemble(kind="haar_state", n=2, seed=0)

@@ -153,7 +153,7 @@ class TestHaar:
         assert stat < 1.63 / math.sqrt(draws.size)  # 1% critical value
 
     def test_seed_reproducible(self):
-        assert np.array_equal(haar_unitary(8, 123), haar_unitary(8, 123))
+        assert np.array_equal(haar_unitary(8, stream_rng(123)), haar_unitary(8, stream_rng(123)))
 
 
 class TestHaarStateDistribution:
@@ -193,24 +193,24 @@ class TestLocalRandomCircuit:
 
 class TestSampleOutcomes:
     def test_point_mass(self):
-        s = sample_outcomes(ProbVec.point_mass(5, 3), 100, 0)
+        s = sample_outcomes(ProbVec.point_mass(5, 3), 100, stream_rng(0))
         assert np.all(s == 3)
 
     def test_uniform_frequencies(self):
-        s = sample_outcomes(ProbVec.uniform(4), 10**6, 1)
+        s = sample_outcomes(ProbVec.uniform(4), 10**6, stream_rng(1))
         counts = np.bincount(s, minlength=4)
         sigma = math.sqrt(10**6 * 0.25 * 0.75)
         assert np.all(np.abs(counts - 250000) < 5 * sigma)
 
     def test_deterministic(self):
         p = ProbVec.uniform(8)
-        assert np.array_equal(sample_outcomes(p, 1000, 7), sample_outcomes(p, 1000, 7))
+        assert np.array_equal(sample_outcomes(p, 1000, stream_rng(7)), sample_outcomes(p, 1000, stream_rng(7)))
 
     def test_requires_normalized(self):
         with pytest.raises(InvalidParameterError):
-            sample_outcomes(ProbVec(np.array([0.3, 0.3])), 10, 0)
+            sample_outcomes(ProbVec(np.array([0.3, 0.3])), 10, stream_rng(0))
         with pytest.raises(InvalidParameterError):
-            sample_outcomes(ProbVec.uniform(2), -1, 0)
+            sample_outcomes(ProbVec.uniform(2), -1, stream_rng(0))
 
 
 class TestCircuitEnsemble:
