@@ -63,6 +63,11 @@ def _check_eps(eps: float):
         raise InvalidParameterError("eps must be in (0, 1)")
 
 
+def _check_constant(name: str, c: float):
+    if not c > 0:
+        raise InvalidParameterError(f"{name} must be > 0")
+
+
 def _quasinorm_branch(p: ProbVec, eps: float, tail_eps: float, const: float, kind: str) -> BoundReport:
     core = truncated_core(p, tail_eps)
     norm = lp_quasinorm(core, 2.0 / 3.0)
@@ -85,8 +90,7 @@ def _quasinorm_branch(p: ProbVec, eps: float, tail_eps: float, const: float, kin
 def vv_lower_bound(p: ProbVec, eps: float, c2: float = 1.0) -> BoundReport:
     """No eps-certification test exists below c2 * max{1/eps, ||core(p, 2 eps)||_{2/3} / eps^2}."""
     _check_eps(eps)
-    if c2 <= 0:
-        raise InvalidParameterError("c2 must be > 0")
+    _check_constant("c2", c2)
     if not p.normalized:
         raise InvalidParameterError("p must be normalized")
     return _quasinorm_branch(p, eps, 2.0 * eps, c2, "vv_lower")
@@ -95,8 +99,7 @@ def vv_lower_bound(p: ProbVec, eps: float, c2: float = 1.0) -> BoundReport:
 def vv_upper_bound(p: ProbVec, eps: float, c1: float = 1.0) -> BoundReport:
     """An eps-certification test exists from c1 * max{1/eps, ||core(p, eps/16)||_{2/3} / eps^2} samples."""
     _check_eps(eps)
-    if c1 <= 0:
-        raise InvalidParameterError("c1 must be > 0")
+    _check_constant("c1", c1)
     if not p.normalized:
         raise InvalidParameterError("p must be normalized")
     return _quasinorm_branch(p, eps, eps / 16.0, c1, "vv_upper")
@@ -124,6 +127,7 @@ def norm23_bounds(p: ProbVec, eps: float = 0.0) -> tuple[float, float]:
 def postselected_lower_bound(p: ProbVec, subset, eps: float, c2: float = 1.0) -> BoundReport:
     """Lower bound via the renormalized restriction of p to an outcome subset."""
     _check_eps(eps)
+    _check_constant("c2", c2)
     if not p.normalized:
         raise InvalidParameterError("p must be normalized")
     idx = np.asarray(sorted(set(int(i) for i in subset)), dtype=np.intp)
@@ -162,6 +166,7 @@ def smin_from_min_entropy(h_inf: float, eps: float, c2: float = 1.0) -> BoundRep
         raise InvalidParameterError("h_inf must be >= 0")
     if not 0 < eps < 0.5:
         raise InvalidParameterError("eps must be in (0, 1/2)")
+    _check_constant("c2", c2)
     paren = 1.0 - 2.0 * eps - 2.0**-h_inf
     value = 0.0 if paren <= 0 else c2 / eps**2 * 2.0 ** (h_inf / 2.0) * paren**1.5
     return BoundReport(
@@ -219,6 +224,7 @@ def smin_boson(
     if C < 0:
         raise InvalidParameterError("C must be >= 0")
     _check_eps(eps)
+    _check_constant("c2", c2)
     # log2((m^n/n!) (1+C) (n!)^2 (n+1) m^-2n) = log2(1+C) + log2(n!) + log2(n+1) - n log2(m)
     log_inner = math.log2(1.0 + C) + math.lgamma(n + 1) / math.log(2) + math.log2(n + 1) - n * math.log2(m)
     h = max(0.0, 0.5 * (2.0 * math.log2(1.0 - zeta) + math.log2(delta) - log_inner))

@@ -94,12 +94,9 @@ class CertificationTester:
         counts = np.atleast_2d(counts).astype(np.float64)
         s = float(self.cfg.samples)
         p = self.p.entries
-        if self.bulk.size:
-            pb = p[self.bulk]
-            xb = counts[:, self.bulk]
-            bulk = np.sum(((xb - s * pb) ** 2 - xb) / pb ** (2.0 / 3.0), axis=1)
-        else:
-            bulk = np.zeros(counts.shape[0])
+        pb = p[self.bulk]
+        xb = counts[:, self.bulk]
+        bulk = np.sum(((xb - s * pb) ** 2 - xb) / pb ** (2.0 / 3.0), axis=1)
         tail = counts[:, self.tail].sum(axis=1) - s * self.tail_weight
         mx = np.abs(counts[:, self.max_index] - s * p[self.max_index])
         return np.column_stack([bulk, tail, mx])
@@ -211,8 +208,8 @@ def max_inflation_adversary(p: ProbVec, distance: float) -> ProbVec:
     rest = q.sum() - q[imax]
     if t > rest:
         raise InvalidParameterError("target distance not reachable by max inflation")
-    scale = (rest - t) / rest
-    q *= scale
+    # a p with no weight off its max has only distance 0 to give, and comes back unchanged
+    q *= (rest - t) / rest if rest else 1.0
     q[imax] = p.entries[imax] + t
     return ProbVec(q / q.sum())
 

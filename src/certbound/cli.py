@@ -81,6 +81,10 @@ def _emit(args, payload: str | bytes):
 
 
 def _make_ensemble(args):
+    # --m and --depth default to 0; a set value must be one the ensemble reads
+    for flag, owner in (("m", "boson"), ("depth", "rcs")):
+        if getattr(args, flag) and args.ensemble != owner:
+            raise InvalidParameterError(f"--{flag} applies to the {owner} ensemble only")
     if args.ensemble == "boson":
         return BosonEnsemble(n=args.n, m=args.m, seed=args.seed)
     kind = {"iqp": "iqp", "haar": "haar_state", "rcs": "local_random"}[args.ensemble]
@@ -157,15 +161,15 @@ def cmd_simulate(args):
 
 
 def cmd_moments(args):
-    return estimate_second_moments(_make_ensemble(args), args.instances, name=args.ensemble).to_json()
+    return json.dumps(asdict(estimate_second_moments(_make_ensemble(args), args.instances, name=args.ensemble)))
 
 
 def cmd_tail_check(args):
-    return min_entropy_tail_check(_make_ensemble(args), args.delta, args.instances).to_json()
+    return json.dumps(asdict(min_entropy_tail_check(_make_ensemble(args), args.delta, args.instances)))
 
 
 def cmd_anticoncentration(args):
-    return anti_concentration_check(_make_ensemble(args), args.alpha, args.instances).to_json()
+    return json.dumps(asdict(anti_concentration_check(_make_ensemble(args), args.alpha, args.instances)))
 
 
 def cmd_certify(args):
@@ -225,8 +229,15 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     return head + injected + rest[1:]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one `error:` line (subparsers inherit the class)."""
+
+    def error(self, message):
+        raise InvalidParameterError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="certbound")
+    parser = _Parser(prog="certbound")
     parser.add_argument("--version", action="version", version=__version__)
     # Sweeps run serially; `threads` is no option.  perfbench/worker.py still
     # records parse_args([...]).threads; this line goes at the next change to
@@ -334,8 +345,8 @@ def main(argv=None) -> int:
         parser = build_parser()
         try:
             args = parser.parse_args(argv)
-        except SystemExit as exc:  # unknown flag -> usage text, exit 1
-            return 0 if exc.code == 0 else 1
+        except SystemExit:  # --help, --version
+            return 0
         args._started = datetime.now(timezone.utc).isoformat()
         _emit(args, args.func(args))
         return 0

@@ -1,17 +1,19 @@
 """Monte-Carlo second-moment estimation and the min-entropy / anti-concentration checks.
 
-An ensemble is an object with an `instance_distribution(i) -> ProbVec`
-method, a `kind` name and a `seed` (qsim.CircuitEnsemble,
-boson.BosonEnsemble).  Instances are evaluated one after another, and
-instance i always uses RNG stream (seed, i), so estimates are bit-for-bit
-reproducible from the seed alone.
+An ensemble (qsim.CircuitEnsemble, boson.BosonEnsemble) is an object with
+- `instance_distribution(i) -> ProbVec`, the output distribution of instance i;
+- `kind`, its name, and `seed`, the seed that drives it;
+- `sample_space_size`, the number of outcomes of every instance.
+
+Each check sweeps instances 0 ... N-1 once, in index order, and instance i
+always uses RNG stream (seed, i), so estimates are bit-for-bit reproducible
+from the seed alone.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,10 +21,16 @@ from .distvec import ProbVec, min_entropy
 from .errors import InvalidParameterError
 
 
-def _instances(ensemble, num_instances: int):
-    """Instance distributions in index order."""
-    for i in range(num_instances):
-        yield ensemble.instance_distribution(i)
+def _sweep(ensemble, num_instances: int, stat) -> np.ndarray:
+    """stat(distribution of instance i) for i = 0 ... num_instances-1, in index order."""
+    if num_instances < 2:
+        raise InvalidParameterError("need at least 2 instances")
+    return np.array([stat(ensemble.instance_distribution(i)) for i in range(num_instances)])
+
+
+def _collision(p: ProbVec) -> float:
+    """sum_S P(S)^2 (= 2^-H2)."""
+    return math.fsum((p.entries**2).tolist())
 
 
 @dataclass(frozen=True)
@@ -39,27 +47,18 @@ class MomentEstimate:
         if self.std_error < 0:
             raise InvalidParameterError("std_error must be >= 0")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
 
 def estimate_second_moments(ensemble, num_instances: int, name: str = "") -> MomentEstimate:
-    """Average of sum_S P(S)^2 (= 2^-H2) over `num_instances` fresh instances.
+    """Average of sum_S P(S)^2 over `num_instances` fresh instances.
 
     The report is named `name`, or the ensemble's kind, and carries the ensemble's seed.
     """
-    if num_instances < 2:
-        raise InvalidParameterError("need at least 2 instances")
-    collisions = np.empty(num_instances)
-    for i, dist in enumerate(_instances(ensemble, num_instances)):
-        collisions[i] = math.fsum((dist.entries**2).tolist())
-    mean = float(np.mean(collisions))
-    se = float(np.std(collisions, ddof=1) / math.sqrt(num_instances))
+    collisions = _sweep(ensemble, num_instances, _collision)
     return MomentEstimate(
         ensemble=name or ensemble.kind,
         num_instances=num_instances,
-        sum_second_moments=mean,
-        std_error=se,
+        sum_second_moments=float(np.mean(collisions)),
+        std_error=float(np.std(collisions, ddof=1) / math.sqrt(num_instances)),
         seed=ensemble.seed,
     )
 
@@ -74,9 +73,6 @@ class TailCheckReport:
     num_instances: int
     moment_sum: float
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
 
 def min_entropy_tail_check(ensemble, delta: float, num_instances: int) -> TailCheckReport:
     """Fraction of instances with H_inf below (log2 delta - log2 sum_S E[P^2]) / 2.
@@ -85,19 +81,12 @@ def min_entropy_tail_check(ensemble, delta: float, num_instances: int) -> TailCh
     """
     if not 0 < delta <= 1:
         raise InvalidParameterError("delta must be in (0, 1]")
-    if num_instances < 2:
-        raise InvalidParameterError("need at least 2 instances")
-    entropies = np.empty(num_instances)
-    collisions = np.empty(num_instances)
-    for i, dist in enumerate(_instances(ensemble, num_instances)):
-        entropies[i] = min_entropy(dist)
-        collisions[i] = math.fsum((dist.entries**2).tolist())
+    entropies, collisions = _sweep(ensemble, num_instances, lambda p: (min_entropy(p), _collision(p))).T
     ms = float(np.mean(collisions))
     bound = 0.5 * (math.log2(delta) - math.log2(ms))
-    violations = float(np.mean(entropies < bound))
     return TailCheckReport(
         bound_bits=bound,
-        violation_fraction=violations,
+        violation_fraction=float(np.mean(entropies < bound)),
         delta=delta,
         num_instances=num_instances,
         moment_sum=ms,
@@ -116,9 +105,6 @@ class AntiConcentrationReport:
     num_instances: int
     passed: bool
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
 
 def anti_concentration_check(
     ensemble,
@@ -133,20 +119,13 @@ def anti_concentration_check(
     """
     if not 0 < alpha < 1:
         raise InvalidParameterError("alpha must be in (0, 1)")
-    if num_instances < 2:
-        raise InvalidParameterError("need at least 2 instances")
-    values = np.empty(num_instances)
-    dim = None
-    for i, dist in enumerate(_instances(ensemble, num_instances)):
-        if dim is None:
-            dim = dist.dim
-            if not 0 <= outcome < dim:
-                raise InvalidParameterError("outcome index out of range")
-        values[i] = dist.entries[outcome]
+    dim = ensemble.sample_space_size
+    if not 0 <= outcome < dim:
+        raise InvalidParameterError("outcome index out of range")
+    values = _sweep(ensemble, num_instances, lambda p: p.entries[outcome])
     mean_z = 1.0 / dim
     second = float(np.mean(values**2))
-    hits = values >= alpha / dim
-    gamma_hat = float(np.mean(hits))
+    gamma_hat = float(np.mean(values >= alpha / dim))
     se = math.sqrt(max(gamma_hat * (1.0 - gamma_hat), 1.0 / num_instances) / num_instances)
     floor = (1.0 - alpha) ** 2 * mean_z**2 / second if second > 0 else 0.0
     return AntiConcentrationReport(

@@ -25,6 +25,29 @@ from certbound.errors import InvalidParameterError
 from conftest import corpus, normalized_targets
 
 
+_U8 = ProbVec.uniform(8)
+
+
+@pytest.mark.parametrize(
+    "kind, bound",
+    [
+        ("vv_lower", lambda c: vv_lower_bound(_U8, 0.1, c)),
+        ("vv_upper", lambda c: vv_upper_bound(_U8, 0.1, c)),
+        ("postselected", lambda c: postselected_lower_bound(_U8, [0, 1], 0.1, c)),
+        ("min_entropy_based", lambda c: smin_from_min_entropy(4.0, 0.1, c)),
+        ("iqp", lambda c: smin_iqp(4, 0.5, 0.1, c)),
+        ("design", lambda c: smin_design(4, 0.5, 0.1, 0.0, c)),
+        ("boson_a", lambda c: smin_boson(2, 8, 0.5, 0.1, 0.25, 0.0, c)),
+        ("boson_b", lambda c: smin_boson_full_space(2, 0.1, c)),
+    ],
+)
+def test_every_kind_rejects_a_constant_at_most_0(kind, bound):
+    assert bound(1.0).kind == kind
+    for c in (0.0, -1.0):
+        with pytest.raises(InvalidParameterError, match=r"^c[12] must be > 0$"):
+            bound(c)
+
+
 class TestBoundReport:
     def test_kind_and_value_validated(self):
         with pytest.raises(InvalidParameterError):

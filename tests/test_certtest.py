@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -163,6 +165,13 @@ class TestAdversaries:
         q = max_inflation_adversary(p, 0.5)
         assert l1_distance(p, q) == pytest.approx(0.5, abs=1e-9)
         assert q.normalized
+
+    def test_max_inflation_returns_a_point_mass_at_distance_0(self):
+        p = ProbVec.point_mass(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = max_inflation_adversary(p, 0.0)
+        assert q.entries.tobytes() == p.entries.tobytes()
 
     def test_unreachable_distances_rejected(self):
         p = ProbVec.point_mass(4, 0)

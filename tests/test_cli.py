@@ -310,8 +310,54 @@ class TestMalformedInput:
     @pytest.mark.parametrize("argv", [["norms", "--dist", "uniform:8"], ["bounds", "--dist", "uniform:8", "--eps", "0.1"]])
     def test_seed_is_no_flag_of_norms_or_bounds(self, capsys, argv):
         # neither command draws, so a --seed would only be recorded in the manifest
-        code, out, err = run(capsys, *argv, "--seed", "99")
-        assert code == 1 and out == "" and "--seed" in err
+        assert "--seed" in self.assert_one_line_error(capsys, *argv, "--seed", "99")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norms", "--dist", "uniform:8", "--bogus", "1"],  # unknown flag
+            ["moments", "--ensemble", "haar"],  # missing required flag
+            ["moments", "--ensemble", "ghz", "--n", "2"],  # bad choice
+            ["moments", "--ensemble", "haar", "--n", "two"],  # bad int
+            [],  # missing subcommand
+        ],
+    )
+    def test_argparse_errors_are_one_line(self, capsys, argv):
+        self.assert_one_line_error(capsys, *argv)
+
+    def test_version_exits_0(self, capsys):
+        code, out, err = run(capsys, "--version")
+        assert code == 0 and out.strip() and err == ""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "iqp", "--n", "3", "--depth", "7"], "--depth"),
+            (["simulate", "haar", "--n", "2", "--m", "9"], "--m"),
+            (["simulate", "boson", "--n", "2", "--m", "4", "--depth", "3"], "--depth"),
+            (["simulate", "rcs", "--n", "2", "--depth", "3", "--m", "4"], "--m"),
+            (["moments", "--ensemble", "iqp", "--n", "2", "--depth", "3", "--instances", "2"], "--depth"),
+            (["tail-check", "--ensemble", "haar", "--n", "2", "--m", "4", "--delta", "0.5", "--instances", "2"], "--m"),
+            (["anticoncentration", "--ensemble", "boson", "--n", "2", "--m", "4", "--depth", "3",
+              "--alpha", "0.5", "--instances", "2"], "--depth"),
+        ],
+    )
+    def test_flag_of_another_ensemble(self, capsys, argv, flag):
+        err = self.assert_one_line_error(capsys, *argv)
+        assert flag in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--kind", "smin_iqp", "--n", "0", "--eps", "0.45", "--c2", "-1"],
+            ["--kind", "smin_iqp", "--n", "4", "--eps", "0.1", "--c2", "-1"],
+            ["--kind", "smin_boson_b", "--n", "2", "--eps", "0.1", "--c2", "0"],
+            ["--kind", "vv_upper", "--dist", "uniform:8", "--eps", "0.1", "--c1", "0"],
+        ],
+    )
+    def test_bound_constant_at_most_0(self, capsys, flags):
+        err = self.assert_one_line_error(capsys, "bounds", *flags)
+        assert "must be > 0" in err
 
     @pytest.mark.parametrize("kind", ["vv_lower", "vv_upper", "sandwich", "postselected"])
     def test_bound_without_dist(self, capsys, kind):

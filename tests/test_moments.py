@@ -1,5 +1,5 @@
-import json
 import math
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +18,28 @@ from certbound.moments import MomentEstimate
 
 
 def fixed_ensemble(p: ProbVec):
-    return SimpleNamespace(kind="fixed", seed=0, instance_distribution=lambda i: p)
+    return SimpleNamespace(kind="fixed", seed=0, sample_space_size=p.dim, instance_distribution=lambda i: p)
+
+
+def recording_ensemble(p: ProbVec, calls: list):
+    """fixed_ensemble(p) that appends each index it is asked for to `calls`."""
+    return SimpleNamespace(
+        kind="fixed", seed=0, sample_space_size=p.dim, instance_distribution=lambda i: calls.append(i) or p
+    )
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda e: estimate_second_moments(e, 5),
+        lambda e: min_entropy_tail_check(e, delta=0.5, num_instances=5),
+        lambda e: anti_concentration_check(e, alpha=0.5, num_instances=5),
+    ],
+)
+def test_each_check_sweeps_every_instance_once_in_index_order(check):
+    calls = []
+    check(recording_ensemble(ProbVec(np.array([0.5, 0.3, 0.2])), calls))
+    assert calls == [0, 1, 2, 3, 4]
 
 
 class TestEstimateSecondMoments:
@@ -68,7 +89,7 @@ class TestEstimateSecondMoments:
 
     def test_json(self):
         est = MomentEstimate("x", 10, 0.25, 0.01, 0)
-        data = json.loads(est.to_json())
+        data = asdict(est)
         assert data["sum_second_moments"] == 0.25
         with pytest.raises(InvalidParameterError):
             MomentEstimate("x", 10, 0.25, -0.01, 0)
@@ -133,3 +154,10 @@ class TestAntiConcentration:
             anti_concentration_check(e, alpha=0.0, num_instances=10)
         with pytest.raises(InvalidParameterError):
             anti_concentration_check(e, alpha=0.5, num_instances=10, outcome=4)
+
+    def test_outcome_checked_before_any_draw(self):
+        calls = []
+        p = ProbVec.uniform(4)
+        with pytest.raises(InvalidParameterError, match="outcome index out of range"):
+            anti_concentration_check(recording_ensemble(p, calls), alpha=0.5, num_instances=10, outcome=p.dim)
+        assert calls == []
