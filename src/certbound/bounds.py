@@ -63,6 +63,11 @@ def _check_eps(eps: float):
         raise InvalidParameterError("eps must be in (0, 1)")
 
 
+def _check_qubits(n: int):
+    if not n >= 1:
+        raise InvalidParameterError("n must be >= 1")
+
+
 def _check_constant(name: str, c: float):
     if not c > 0:
         raise InvalidParameterError(f"{name} must be > 0")
@@ -182,6 +187,7 @@ def smin_iqp(n: int, delta: float, eps: float, c2: float = 1.0) -> BoundReport:
         raise InvalidParameterError("delta must be in (0, 1]")
     h = max(0.0, 0.5 * (n + math.log2(delta / 3.0)))
     rep = smin_from_min_entropy(h, eps, c2)
+    _check_qubits(n)
     inputs = dict(rep.inputs, n=n, delta=delta)
     return BoundReport(kind="iqp", value=rep.value, inputs=inputs)
 
@@ -194,6 +200,7 @@ def smin_design(n: int, delta: float, eps: float, eps_tilde: float = 0.0, c2: fl
         raise InvalidParameterError("eps_tilde must be >= 0")
     h = max(0.0, 0.5 * (n + math.log2(delta / (2.0 * (1.0 + eps_tilde)))))
     rep = smin_from_min_entropy(h, eps, c2)
+    _check_qubits(n)
     inputs = dict(rep.inputs, n=n, delta=delta, eps_tilde=eps_tilde)
     return BoundReport(kind="design", value=rep.value, inputs=inputs)
 
@@ -256,6 +263,7 @@ def smin_boson_full_space(n: int, eps: float, c2: float = 1.0) -> BoundReport:
     The Omega-constant in the tail probability is not computable from the
     analysis, so it is carried as a symbolic note only.
     """
+    _check_qubits(n)
     rep = smin_from_min_entropy(2.0 * n, eps, c2)
     inputs = dict(rep.inputs, n=n)
     return BoundReport(

@@ -8,6 +8,13 @@ the removed tail, and a deviation term on the removed largest outcome.
 Thresholds are set by parametric calibration under the null (the certifier
 has unlimited computational power, so resampling the target is allowed).
 
+A trial's samples are drawn by inverse CDF from sorted uniforms, so its
+outcome indices come out sorted and its counts are their run lengths; no
+(trials x dim) count matrix is built. The bulk term adds one term per bulk
+outcome, the ones not drawn at count 0, so a trial costs O(samples + bulk
+size). Trials go in chunks of at most _CHUNK_ENTRIES entries per array, or
+one trial at a time where a single trial needs more.
+
 Behavior in the gap region 0 < ||P - Q||_1 <= eps is unspecified and the
 tester may answer either way there.
 
@@ -24,17 +31,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distvec import ProbVec, l1_distance, truncate_tail, truncated_core
-from .errors import InvalidParameterError
-from .qsim import sample_outcomes
+from .errors import InvalidParameterError, ResourceLimitError
+from .qsim import inverse_cdf
 from .rng import stream_rng
 
 CALIBRATION_MARGIN = 0.05  # absorbs Monte-Carlo noise on top of the 2/3 target
 
-# Entries of the (trials x samples) draw and of the (trials x dim) count matrix
-# per chunk of trials (8 MB per int64 array); bounds the tester's peak memory.
+# Entries of the (trials x samples) draw and of the (trials x bulk) term array
+# per chunk of trials (8 MB per 8-byte array); bounds the tester's peak memory.
 _CHUNK_ENTRIES = 1 << 20
 
-# Largest sample size the complexity search tries before giving up.
+# Largest sample size a tester takes; the complexity search gives up above it.
 _S_MAX = 1 << 20
 
 
@@ -52,6 +59,8 @@ class TesterConfig:
             raise InvalidParameterError("eps must be in (0, 1)")
         if self.samples < 1:
             raise InvalidParameterError("samples must be >= 1")
+        if self.samples > _S_MAX:
+            raise ResourceLimitError(f"samples must be <= {_S_MAX}")
         if self.calibration_runs < 100:
             raise InvalidParameterError("calibration_runs must be >= 100")
 
@@ -80,37 +89,63 @@ class CertificationTester:
         core = truncated_core(p, cfg.eps / 16.0)
         self.bulk = np.flatnonzero(core.entries > 0)
         self.max_index = int(np.argmax(p.entries))
-        mask = np.ones(p.dim, dtype=bool)
-        mask[self.bulk] = False
-        mask[self.max_index] = False
-        self.tail = np.flatnonzero(mask)
-        self.tail_weight = float(p.entries[self.tail].sum())
+        self._in_tail = np.ones(p.dim, dtype=bool)
+        self._in_tail[self.bulk] = False
+        self._in_tail[self.max_index] = False
+        self.tail_weight = float(p.entries[self._in_tail].sum())
+        # per-bulk-outcome constants of the statistic, and each outcome's bulk position (-1 off the bulk)
+        pb = p.entries[self.bulk]
+        self._spb = float(cfg.samples) * pb
+        self._pb23 = pb ** (2.0 / 3.0)
+        self._zero_terms = _bulk_terms(0.0, self._spb, self._pb23)
+        self._bulk_pos = np.full(p.dim, -1, dtype=np.int64)
+        self._bulk_pos[self.bulk] = np.arange(self.bulk.size)
         self.threshold = self._calibrate()
 
     # -- statistics ------------------------------------------------------
 
-    def _components(self, counts: np.ndarray) -> np.ndarray:
-        """Raw statistic components for a (trials, dim) count matrix."""
-        counts = np.atleast_2d(counts).astype(np.float64)
+    def _components(self, rows: np.ndarray) -> np.ndarray:
+        """Raw statistic components for a (trials, samples) array of outcome indices, each row sorted."""
+        t, n = rows.shape
         s = float(self.cfg.samples)
         p = self.p.entries
-        pb = p[self.bulk]
-        xb = counts[:, self.bulk]
-        bulk = np.sum(((xb - s * pb) ** 2 - xb) / pb ** (2.0 / 3.0), axis=1)
-        tail = counts[:, self.tail].sum(axis=1) - s * self.tail_weight
-        mx = np.abs(counts[:, self.max_index] - s * p[self.max_index])
+        # run lengths of the sorted rows give each (trial, outcome) pair that occurs, with its count
+        new = np.ones((t, n), dtype=bool)
+        new[:, 1:] = rows[:, 1:] != rows[:, :-1]
+        first = np.flatnonzero(new)
+        count = np.diff(np.r_[first, rows.size])
+        trial, outcome = first // n, rows.ravel()[first]
+
+        # every bulk outcome adds a term, the ones not drawn at count 0. np.sum adds each row of an
+        # F-ordered (t > 1, n) array left to right and a C-ordered one pairwise; the thresholds and
+        # verdicts depend on that order to the last bit, and tests pin them, so keep F order
+        terms = np.empty((t, self.bulk.size), order="F")
+        terms[:] = self._zero_terms
+        in_bulk = self._bulk_pos[outcome] >= 0
+        at = self._bulk_pos[outcome[in_bulk]]
+        x = count[in_bulk].astype(np.float64)
+        terms[trial[in_bulk], at] = _bulk_terms(x, self._spb[at], self._pb23[at])
+        bulk = np.sum(terms, axis=1)
+
+        # integer-valued sums, exact in any order
+        tail = np.bincount(trial, weights=count * self._in_tail[outcome], minlength=t) - s * self.tail_weight
+        at_max = outcome == self.max_index
+        x_max = np.zeros(t)
+        x_max[trial[at_max]] = count[at_max]
+        mx = np.abs(x_max - s * p[self.max_index])
         return np.column_stack([bulk, tail, mx])
 
     def _draw_components(self, q: ProbVec, rng: np.random.Generator, trials: int) -> np.ndarray:
         """(trials, 3) components of `trials` i.i.d. sample sets drawn from q, a chunk of trials at a time."""
         s, dim = self.cfg.samples, self.p.dim
         step = max(1, _CHUNK_ENTRIES // max(s, dim))
+        outcomes = inverse_cdf(q)
         parts = []
         for start in range(0, trials, step):
             t = min(step, trials - start)
-            idx = sample_outcomes(q, t * s, rng).reshape(t, s)
-            flat = (idx + np.arange(t)[:, None] * dim).ravel()
-            parts.append(self._components(np.bincount(flat, minlength=t * dim).reshape(t, dim)))
+            # the same stream as rng.random(t * s); sorting a row only permutes one trial's draws
+            rows = outcomes(np.sort(rng.random((t, s)), axis=1))
+            parts.append(self._components(rows))
         return np.concatenate(parts)
 
     def _calibrate(self) -> float:
@@ -130,14 +165,13 @@ class CertificationTester:
 
     def statistic(self, samples) -> float:
         samples = np.asarray(samples)
-        if samples.dtype.kind not in "iu":
-            raise InvalidParameterError("samples must be integer outcome indices")
+        if samples.dtype.kind not in "iu" or samples.ndim != 1:
+            raise InvalidParameterError("samples must be a 1-D array of integer outcome indices")
         if samples.size and (samples.min() < 0 or samples.max() >= self.p.dim):
             raise InvalidParameterError("sample index out of range")
         if samples.size != self.cfg.samples:
             raise InvalidParameterError("sample count does not match the calibrated size")
-        counts = np.bincount(samples.astype(np.int64), minlength=self.p.dim)
-        return float(self._combined(self._components(counts))[0])
+        return float(self._combined(self._components(np.sort(samples.astype(np.int64))[None, :]))[0])
 
     def test(self, samples) -> TestVerdict:
         stat = self.statistic(samples)
@@ -153,6 +187,11 @@ class CertificationTester:
             raise InvalidParameterError("trials must be >= 1")
         rng = stream_rng(self.cfg.seed, 0x7E57, stream)
         return float(np.mean(self._combined(self._draw_components(q, rng, trials)) <= self.threshold))
+
+
+def _bulk_terms(x, spb, pb23):
+    """Bulk terms ((x - s p)^2 - x) / p^(2/3) of counts x at outcomes with s p = spb and p^(2/3) = pb23."""
+    return ((x - spb) ** 2 - x) / pb23
 
 
 # -- adversary library ----------------------------------------------------

@@ -216,13 +216,17 @@ def _apply_two_qubit_gate(psi: np.ndarray, gate: np.ndarray, q: int, n: int) -> 
     return np.ascontiguousarray(psi).reshape(-1)
 
 
-def sample_outcomes(p: ProbVec, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `count` i.i.d. outcome indices by inverse CDF from `rng`."""
+def inverse_cdf(p: ProbVec):
+    """p's inverse CDF: a map from uniforms in [0, 1) of any shape to int64 outcome indices."""
     if not p.normalized:
-        raise InvalidParameterError("sample_outcomes requires a normalized distribution")
-    if count < 0:
-        raise InvalidParameterError("count must be >= 0")
+        raise InvalidParameterError("sampling requires a normalized distribution")
     cdf = np.cumsum(p.entries)
     cdf[-1] = 1.0
-    u = rng.random(count)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    return lambda u: np.searchsorted(cdf, u, side="right").astype(np.int64, copy=False)
+
+
+def sample_outcomes(p: ProbVec, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw `count` i.i.d. outcome indices by inverse CDF from `rng`."""
+    if count < 0:
+        raise InvalidParameterError("count must be >= 0")
+    return inverse_cdf(p)(rng.random(count))

@@ -21,7 +21,7 @@ from certbound.certtest import (
     pairwise_shift_adversary,
     tail_deletion_adversary,
 )
-from certbound.errors import InvalidParameterError
+from certbound.errors import InvalidParameterError, ResourceLimitError
 from certbound.rng import stream_rng
 
 from conftest import normalized_targets
@@ -35,6 +35,11 @@ class TestTesterConfig:
             TesterConfig(eps=0.5, samples=0)
         with pytest.raises(InvalidParameterError):
             TesterConfig(eps=0.5, samples=10, calibration_runs=50)
+
+    def test_sample_cap(self):
+        assert TesterConfig(eps=0.5, samples=certtest._S_MAX).samples == certtest._S_MAX
+        with pytest.raises(ResourceLimitError, match="samples"):
+            TesterConfig(eps=0.5, samples=certtest._S_MAX + 1)
 
 
 class TestCalibration:
@@ -78,6 +83,9 @@ class TestIdentityTest:
             tester.statistic([0.9] * 5 + [1.7] * 5)
         with pytest.raises(InvalidParameterError):
             tester.statistic([True] * 10)
+        # ten indices in a (2, 5) array are no sample set
+        with pytest.raises(InvalidParameterError):
+            tester.statistic(np.zeros((2, 5), dtype=int))
 
     def test_deterministic_given_samples(self):
         p = ProbVec.uniform(8)
@@ -106,13 +114,64 @@ class TestIdentityTest:
         assert rate < 1 / 3 + 4 * se
 
 
-def dense_components(tester, q, rng, trials):
-    """Reference: one (trials, samples) inverse-CDF draw and one dense (trials, dim) count matrix."""
+def dense_oracle(tester, counts):
+    """Reference: the statistic components of a dense (trials, dim) count matrix, summed as the gather leaves them."""
+    mask = np.ones(tester.p.dim, dtype=bool)
+    mask[tester.bulk] = False
+    mask[tester.max_index] = False
+    tail_index = np.flatnonzero(mask)
+    tail_weight = float(tester.p.entries[tail_index].sum())
+
+    counts = np.atleast_2d(counts).astype(np.float64)
+    s = float(tester.cfg.samples)
+    p = tester.p.entries
+    pb = p[tester.bulk]
+    xb = counts[:, tester.bulk]
+    bulk = np.sum(((xb - s * pb) ** 2 - xb) / pb ** (2.0 / 3.0), axis=1)
+    tail = counts[:, tail_index].sum(axis=1) - s * tail_weight
+    mx = np.abs(counts[:, tester.max_index] - s * p[tester.max_index])
+    return np.column_stack([bulk, tail, mx])
+
+
+def dense_components(tester, q, rng, trials, step=None):
+    """Reference: per chunk of `step` trials (all at once by default), one (step, samples) inverse-CDF
+    draw and one dense (step, dim) count matrix.
+
+    np.sum adds a (1, n) row pairwise and the rows of a (t > 1, n) gather left to right, so a trial
+    drawn alone, as in a chunk of one, has its bulk sum rounded differently.
+    """
+    s = tester.cfg.samples
+    step = step or trials
     cdf = np.cumsum(q.entries)
     cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, rng.random((trials, tester.cfg.samples)), side="right")
-    counts = np.stack([np.bincount(row, minlength=q.dim) for row in idx])
-    return tester._components(counts)
+    parts = []
+    for start in range(0, trials, step):
+        idx = np.searchsorted(cdf, rng.random((min(step, trials - start), s)), side="right")
+        counts = np.stack([np.bincount(row, minlength=q.dim) for row in idx])
+        parts.append(dense_oracle(tester, counts))
+    return np.concatenate(parts)
+
+
+def dense_calibration(tester, step=None):
+    """Reference: centers, scales and threshold from the dense components of the calibration draw."""
+    cfg = tester.cfg
+    comps = dense_components(tester, tester.p, stream_rng(cfg.seed, 0xCA11B), cfg.calibration_runs, step)
+    centers = np.median(comps, axis=0)
+    hi = np.quantile(comps, 0.9, axis=0)
+    scales = np.where(hi > centers, hi - centers, 1.0)
+    combined = np.max((comps - centers) / scales, axis=1)
+    return centers, scales, float(np.quantile(combined, 2.0 / 3.0 + CALIBRATION_MARGIN))
+
+
+point_masses = st.integers(1, 12).flatmap(lambda d: st.integers(0, d - 1).map(lambda i: ProbVec.point_mass(d, i).entries))
+
+# bulks of 8 entries and more, where np.sum's pairwise and left-to-right orders round differently
+wide_targets = (
+    st.lists(st.one_of(st.just(0.0), st.sampled_from([0.01, 0.1, 0.25]), st.floats(0.01, 1.0)), min_size=24, max_size=300)
+    .map(np.array)
+    .filter(lambda x: x.sum() > 0)
+    .map(lambda x: x / x.sum())
+)
 
 
 class TestChunkedSampling:
@@ -124,12 +183,7 @@ class TestChunkedSampling:
         cfg = TesterConfig(eps=0.5, samples=64, calibration_runs=103, seed=8)
         tester = CertificationTester(p, cfg)
 
-        comps = dense_components(tester, p, stream_rng(cfg.seed, 0xCA11B), cfg.calibration_runs)
-        centers = np.median(comps, axis=0)
-        hi = np.quantile(comps, 0.9, axis=0)
-        scales = np.where(hi > centers, hi - centers, 1.0)
-        combined = np.max((comps - centers) / scales, axis=1)
-        threshold = float(np.quantile(combined, 2.0 / 3.0 + CALIBRATION_MARGIN))
+        centers, scales, threshold = dense_calibration(tester)
         assert np.array_equal(tester._centers, centers) and np.array_equal(tester._scales, scales)
         assert tester.threshold == threshold
 
@@ -137,6 +191,33 @@ class TestChunkedSampling:
             comps = dense_components(tester, dist, stream_rng(cfg.seed, 0x7E57, stream), 101)
             rate = float(np.mean(np.max((comps - centers) / scales, axis=1) <= threshold))
             assert tester.accept_rate(dist, 101, stream=stream) == rate
+
+    @given(
+        st.one_of(normalized_targets, wide_targets, point_masses),
+        st.integers(1, 300),
+        st.integers(1, 4),
+        st.integers(0, 2**16),
+    )
+    def test_bit_identical_to_the_dense_oracle(self, x, samples, per_chunk, seed):
+        # per_chunk 1 draws one trial per chunk; 2-4 draw several, and the chunk count leaves a remainder
+        p = ProbVec(x)
+        q = ProbVec(np.roll(x, 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(certtest, "_CHUNK_ENTRIES", per_chunk * max(samples, p.dim))
+            tester = CertificationTester(p, TesterConfig(eps=0.5, samples=samples, calibration_runs=101, seed=seed))
+            comps = tester._draw_components(p, stream_rng(seed, 0xCA11B), 101)
+            assert comps.tobytes() == dense_components(tester, p, stream_rng(seed, 0xCA11B), 101, per_chunk).tobytes()
+            centers, scales, threshold = dense_calibration(tester, per_chunk)
+            assert tester._centers.tobytes() == centers.tobytes()
+            assert tester._scales.tobytes() == scales.tobytes()
+            assert tester.threshold == threshold
+            for dist, stream in ((p, 1), (q, 2)):
+                comps = dense_components(tester, dist, stream_rng(seed, 0x7E57, stream), 37, per_chunk)
+                rate = float(np.mean(np.max((comps - centers) / scales, axis=1) <= threshold))
+                assert tester.accept_rate(dist, 37, stream=stream) == rate
+        drawn = sample_outcomes(q, samples, stream_rng(seed, 3))
+        comps = dense_oracle(tester, np.bincount(drawn, minlength=p.dim))
+        assert tester.statistic(drawn) == float(np.max((comps - centers) / scales, axis=1)[0])
 
     def test_accept_rate_needs_a_trial(self):
         p = ProbVec.uniform(4)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from certbound import ProbVec, bounds, sample_outcomes
+from certbound import ProbVec, bounds, certtest, sample_outcomes
 from certbound.boson import BosonEnsemble, boson_distribution
 from certbound.cli import build_parser, main
 from certbound.qsim import CircuitEnsemble
@@ -218,6 +218,14 @@ class TestCertify:
         assert code == 0
         assert data["samples_used"] == 200
 
+    def test_sample_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(certtest, "_S_MAX", 16)
+        samples = tmp_path / "s.json"
+        samples.write_text(json.dumps([0] * 17))
+        code, out, err = run(capsys, "certify", "--target", "uniform:8", "--samples", str(samples), "--eps", "0.5")
+        assert code == 2 and out == ""
+        assert err.startswith("resource limit:") and len(err.splitlines()) == 1
+
 
 class TestComplexity:
     def test_small_search(self, capsys):
@@ -358,6 +366,11 @@ class TestMalformedInput:
     def test_bound_constant_at_most_0(self, capsys, flags):
         err = self.assert_one_line_error(capsys, "bounds", *flags)
         assert "must be > 0" in err
+
+    @pytest.mark.parametrize("kind, n", [("smin_iqp", "-3"), ("smin_design", "-3"), ("smin_boson_b", "0")])
+    def test_bound_qubit_count_below_1(self, capsys, kind, n):
+        err = self.assert_one_line_error(capsys, "bounds", "--kind", kind, "--n", n, "--eps", "0.1")
+        assert err == "error: n must be >= 1\n"
 
     @pytest.mark.parametrize("kind", ["vv_lower", "vv_upper", "sandwich", "postselected"])
     def test_bound_without_dist(self, capsys, kind):

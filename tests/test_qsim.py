@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from certbound import (
     local_random_circuit_distribution,
     sample_outcomes,
 )
+from certbound import qsim
 from certbound.errors import InvalidParameterError, ResourceLimitError
 from certbound.qsim import DEFAULT_ANGLE_SET, fwht
 from certbound.rng import stream_rng
@@ -211,6 +213,21 @@ class TestSampleOutcomes:
             sample_outcomes(ProbVec(np.array([0.3, 0.3])), 10, stream_rng(0))
         with pytest.raises(InvalidParameterError):
             sample_outcomes(ProbVec.uniform(2), -1, stream_rng(0))
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_matches_searchsorted_on_the_raw_stream(self, seed):
+        for p in (ProbVec.uniform(7), ProbVec(np.array([0.0, 0.5, 0.0, 0.25, 0.25, 0.0])), ProbVec.point_mass(4, 3)):
+            cdf = np.cumsum(p.entries)
+            cdf[-1] = 1.0
+            reference = np.searchsorted(cdf, stream_rng(seed).random(1000), side="right")
+            drawn = sample_outcomes(p, 1000, stream_rng(seed))
+            assert drawn.dtype == np.int64 and np.array_equal(drawn, reference)
+
+    def test_one_inverse_cdf_in_the_package(self):
+        # every sampler draws through qsim.inverse_cdf, the one place that pins the CDF's last entry
+        src = Path(qsim.__file__).parent
+        lines = [line for f in sorted(src.glob("*.py")) for line in f.read_text().splitlines()]
+        assert sum(line.strip() == "cdf[-1] = 1.0" for line in lines) == 1
 
 
 class TestCircuitEnsemble:
