@@ -238,7 +238,7 @@ def bs_flatness_tail_bound(n: int, m: int, c: float = 1.0, C: float = 0.0) -> fl
         raise InvalidParameterError("need m >= n")
     if n < 2:
         raise InvalidParameterError("need n >= 2 to infer nu")
-    if c <= 0 or C < 0:
+    if not (c > 0 and C >= 0):
         raise InvalidParameterError("need c > 0 and C >= 0")
     nu = math.log(m / c) / math.log(n)
     # x^2 = (c/2) eps^(1/n) e^(-2/n+2) n^(nu-2-1/n) with eps = 2^(-2n)

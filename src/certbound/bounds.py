@@ -4,13 +4,17 @@ Every bound is evaluated as an explicit pre-asymptotic formula with its
 universal constants exposed as parameters (they are not known numerically;
 defaults of 1 keep the outputs honest, and every report is annotated
 accordingly).  Values are numbers of samples, entropies are in bits.
+
+`_vv_bound` holds the one Valiant-Valiant form c max{1/eps, w ||core||_{2/3} / eps^2}
+behind `vv_lower`, `vv_upper` and `postselected`. `smin_iqp`, `smin_design`
+and `smin_boson_full_space` relabel the `smin_from_min_entropy` report.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,41 +77,39 @@ def _check_constant(name: str, c: float):
         raise InvalidParameterError(f"{name} must be > 0")
 
 
-def _quasinorm_branch(p: ProbVec, eps: float, tail_eps: float, const: float, kind: str) -> BoundReport:
-    core = truncated_core(p, tail_eps)
-    norm = lp_quasinorm(core, 2.0 / 3.0)
-    quasi_term = norm / eps**2
+def _check_vv(p: ProbVec, eps: float, name: str, c: float):
+    _check_eps(eps)
+    _check_constant(name, c)
+    if not p.normalized:
+        raise InvalidParameterError("p must be normalized")
+
+
+def _core_norm(p: ProbVec, tail_eps: float) -> float:
+    return lp_quasinorm(truncated_core(p, tail_eps), 2.0 / 3.0)
+
+
+def _vv_bound(kind: str, eps: float, const: float, norm: float, weight: float = 1.0, **inputs) -> BoundReport:
+    """The one Valiant-Valiant form const * max{1/eps, weight * norm / eps^2}."""
+    quasi_term = weight * norm / eps**2
     trivial_term = 1.0 / eps
-    value = const * max(trivial_term, quasi_term)
+    branch = "quasinorm" if quasi_term >= trivial_term else "1/eps"
     return BoundReport(
         kind=kind,
-        value=value,
-        inputs={
-            "eps": eps,
-            "tail_eps": tail_eps,
-            "constant": const,
-            "norm_2_3": norm,
-            "branch": "quasinorm" if quasi_term >= trivial_term else "1/eps",
-        },
+        value=const * max(trivial_term, quasi_term),
+        inputs=dict(inputs, eps=eps, constant=const, norm_2_3=norm, branch=branch),
     )
 
 
 def vv_lower_bound(p: ProbVec, eps: float, c2: float = 1.0) -> BoundReport:
     """No eps-certification test exists below c2 * max{1/eps, ||core(p, 2 eps)||_{2/3} / eps^2}."""
-    _check_eps(eps)
-    _check_constant("c2", c2)
-    if not p.normalized:
-        raise InvalidParameterError("p must be normalized")
-    return _quasinorm_branch(p, eps, 2.0 * eps, c2, "vv_lower")
+    _check_vv(p, eps, "c2", c2)
+    return _vv_bound("vv_lower", eps, c2, _core_norm(p, 2.0 * eps), tail_eps=2.0 * eps)
 
 
 def vv_upper_bound(p: ProbVec, eps: float, c1: float = 1.0) -> BoundReport:
     """An eps-certification test exists from c1 * max{1/eps, ||core(p, eps/16)||_{2/3} / eps^2} samples."""
-    _check_eps(eps)
-    _check_constant("c1", c1)
-    if not p.normalized:
-        raise InvalidParameterError("p must be normalized")
-    return _quasinorm_branch(p, eps, eps / 16.0, c1, "vv_upper")
+    _check_vv(p, eps, "c1", c1)
+    return _vv_bound("vv_upper", eps, c1, _core_norm(p, eps / 16.0), tail_eps=eps / 16.0)
 
 
 def norm23_bounds(p: ProbVec, eps: float = 0.0) -> tuple[float, float]:
@@ -116,7 +118,7 @@ def norm23_bounds(p: ProbVec, eps: float = 0.0) -> tuple[float, float]:
     lower = 2^(H/2) (1 - eps - 2^-H)^(3/2), clamped at 0
     upper = (1 - 2^-H) sqrt(support of the truncated core)
     """
-    if eps < 0:
+    if not eps >= 0:
         raise InvalidParameterError("eps must be >= 0")
     if not p.normalized:
         raise InvalidParameterError("p must be normalized")
@@ -131,10 +133,7 @@ def norm23_bounds(p: ProbVec, eps: float = 0.0) -> tuple[float, float]:
 
 def postselected_lower_bound(p: ProbVec, subset, eps: float, c2: float = 1.0) -> BoundReport:
     """Lower bound via the renormalized restriction of p to an outcome subset."""
-    _check_eps(eps)
-    _check_constant("c2", c2)
-    if not p.normalized:
-        raise InvalidParameterError("p must be normalized")
+    _check_vv(p, eps, "c2", c2)
     idx = np.asarray(sorted(set(int(i) for i in subset)), dtype=np.intp)
     if idx.size == 0:
         raise InvalidParameterError("subset must be nonempty")
@@ -143,23 +142,8 @@ def postselected_lower_bound(p: ProbVec, subset, eps: float, c2: float = 1.0) ->
     weight = math.fsum(p.entries[idx].tolist())
     if weight <= 0:
         raise InvalidParameterError("subset has zero probability weight")
-    restricted = ProbVec(p.entries[idx] / weight)
-    core = truncated_core(restricted, 2.0 * eps / weight)
-    norm = lp_quasinorm(core, 2.0 / 3.0)
-    quasi_term = weight * norm / eps**2
-    value = c2 * max(1.0 / eps, quasi_term)
-    return BoundReport(
-        kind="postselected",
-        value=value,
-        inputs={
-            "eps": eps,
-            "constant": c2,
-            "subset_weight": weight,
-            "norm_2_3": norm,
-            "trivial": weight <= 2.0 * eps,
-            "branch": "quasinorm" if quasi_term >= 1.0 / eps else "1/eps",
-        },
-    )
+    norm = _core_norm(ProbVec(p.entries[idx] / weight), 2.0 * eps / weight)
+    return _vv_bound("postselected", eps, c2, norm, weight, subset_weight=weight, trivial=weight <= 2.0 * eps)
 
 
 def smin_from_min_entropy(h_inf: float, eps: float, c2: float = 1.0) -> BoundReport:
@@ -167,7 +151,7 @@ def smin_from_min_entropy(h_inf: float, eps: float, c2: float = 1.0) -> BoundRep
 
     value = c2 / eps^2 * 2^(h/2) * (1 - 2 eps - 2^-h)^(3/2), clamped at 0.
     """
-    if h_inf < 0:
+    if not h_inf >= 0:
         raise InvalidParameterError("h_inf must be >= 0")
     if not 0 < eps < 0.5:
         raise InvalidParameterError("eps must be in (0, 1/2)")
@@ -188,21 +172,19 @@ def smin_iqp(n: int, delta: float, eps: float, c2: float = 1.0) -> BoundReport:
     h = max(0.0, 0.5 * (n + math.log2(delta / 3.0)))
     rep = smin_from_min_entropy(h, eps, c2)
     _check_qubits(n)
-    inputs = dict(rep.inputs, n=n, delta=delta)
-    return BoundReport(kind="iqp", value=rep.value, inputs=inputs)
+    return replace(rep, kind="iqp", inputs=dict(rep.inputs, n=n, delta=delta))
 
 
 def smin_design(n: int, delta: float, eps: float, eps_tilde: float = 0.0, c2: float = 1.0) -> BoundReport:
     """Relative approximate-2-design bound via H_inf >= (n + log2(delta / (2 (1+eps_tilde)))) / 2."""
     if not 0 < delta <= 1:
         raise InvalidParameterError("delta must be in (0, 1]")
-    if eps_tilde < 0:
+    if not eps_tilde >= 0:
         raise InvalidParameterError("eps_tilde must be >= 0")
     h = max(0.0, 0.5 * (n + math.log2(delta / (2.0 * (1.0 + eps_tilde)))))
     rep = smin_from_min_entropy(h, eps, c2)
     _check_qubits(n)
-    inputs = dict(rep.inputs, n=n, delta=delta, eps_tilde=eps_tilde)
-    return BoundReport(kind="design", value=rep.value, inputs=inputs)
+    return replace(rep, kind="design", inputs=dict(rep.inputs, n=n, delta=delta, eps_tilde=eps_tilde))
 
 
 def smin_boson(
@@ -228,7 +210,7 @@ def smin_boson(
         raise InvalidParameterError("delta must be in (0, 1]")
     if not 0 < zeta < 1:
         raise InvalidParameterError("zeta must be in (0, 1)")
-    if C < 0:
+    if not C >= 0:
         raise InvalidParameterError("C must be >= 0")
     _check_eps(eps)
     _check_constant("c2", c2)
@@ -265,13 +247,5 @@ def smin_boson_full_space(n: int, eps: float, c2: float = 1.0) -> BoundReport:
     """
     _check_qubits(n)
     rep = smin_from_min_entropy(2.0 * n, eps, c2)
-    inputs = dict(rep.inputs, n=n)
-    return BoundReport(
-        kind="boson_b",
-        value=rep.value,
-        inputs=inputs,
-        notes=(
-            UNSPECIFIED_CONSTANT_NOTE
-            + "; holds for nu > 3 with failure probability exp(-Omega(n^(nu-2-1/n)))"
-        ),
-    )
+    notes = UNSPECIFIED_CONSTANT_NOTE + "; holds for nu > 3 with failure probability exp(-Omega(n^(nu-2-1/n)))"
+    return replace(rep, kind="boson_b", inputs=dict(rep.inputs, n=n), notes=notes)

@@ -20,7 +20,7 @@ tester may answer either way there.
 
 Every adversary in `ADVERSARIES` returns a normalized distribution at l1
 distance `distance` from p, or raises InvalidParameterError when p admits
-none of its kind.
+none of its kind or `distance` is not in [0, 2].
 """
 
 from __future__ import annotations
@@ -197,8 +197,14 @@ def _bulk_terms(x, spb, pb23):
 # -- adversary library ----------------------------------------------------
 
 
+def _check_distance(distance: float):
+    if not 0 <= distance <= 2:
+        raise InvalidParameterError("distance must be in [0, 2]")
+
+
 def pairwise_shift_adversary(p: ProbVec, distance: float) -> ProbVec:
     """Move mass between consecutive index pairs until the l1 distance is reached."""
+    _check_distance(distance)
     q = p.entries.copy()
     remaining = distance / 2.0
     for i in range(0, p.dim - 1, 2):
@@ -220,6 +226,7 @@ def tail_deletion_adversary(p: ProbVec, distance: float) -> ProbVec:
     `truncate_tail` zeroes the smallest entries whose weight fits; the rest
     of distance/2 comes off the smallest nonzero entry left (ties at lowest index).
     """
+    _check_distance(distance)
     w = distance / 2.0
     if w >= 1.0:
         raise InvalidParameterError("cannot delete a full unit of weight")
@@ -241,6 +248,7 @@ def tail_deletion_adversary(p: ProbVec, distance: float) -> ProbVec:
 
 def max_inflation_adversary(p: ProbVec, distance: float) -> ProbVec:
     """Add distance/2 to the largest outcome, scaling all others down."""
+    _check_distance(distance)
     t = distance / 2.0
     q = p.entries.copy()
     imax = int(np.argmax(q))

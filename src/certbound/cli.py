@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -44,18 +45,35 @@ from .qsim import CircuitEnsemble
 
 
 def _load_dist(spec: str) -> ProbVec:
+    """`uniform:D`, `pointmass:D`, a `.pvec` file or a JSON file, of dimension at most 2**MAX_QUBITS."""
     kind, sep, dim = spec.partition(":")
-    if sep and kind in ("uniform", "pointmass"):
-        d = int(dim)
-        if d > 2**MAX_QUBITS:
-            raise ResourceLimitError(f"{spec}: dimension exceeds 2**{MAX_QUBITS}")
-        return ProbVec.uniform(d) if kind == "uniform" else ProbVec.point_mass(d)
+    builtin = sep and kind in ("uniform", "pointmass")
     path = Path(spec)
-    if not path.exists():
+    if builtin:
+        d = int(dim)
+    elif not path.exists():
         raise InvalidParameterError(f"no such distribution file: {spec}")
-    if path.suffix == ".pvec":
-        return ProbVec.from_bytes(path.read_bytes())
-    return ProbVec.from_json(path.read_text())
+    elif path.suffix == ".pvec":
+        d = (path.stat().st_size - 13) // 8  # 13-byte header, 8 bytes an entry; the payload is not read yet
+    else:
+        v = ProbVec.from_json(path.read_text())
+        d = v.dim
+    if d > 2**MAX_QUBITS:
+        raise ResourceLimitError(f"{spec}: dimension exceeds 2**{MAX_QUBITS}")
+    if builtin:
+        return ProbVec.uniform(d) if kind == "uniform" else ProbVec.point_mass(d)
+    return ProbVec.from_bytes(path.read_bytes()) if path.suffix == ".pvec" else v
+
+
+def _finite_float(text: str) -> float:
+    """The type of every float flag: a non-number, NaN or an infinity is a bad command line."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite float: {text!r}")
+    return x
 
 
 def _emit(args, payload: str | bytes):
@@ -112,12 +130,6 @@ def cmd_norms(args):
     return json.dumps(out)
 
 
-def _kind_dist(args) -> ProbVec:
-    if args.dist is None:
-        raise InvalidParameterError(f"--kind {args.kind} needs --dist")
-    return _load_dist(args.dist)
-
-
 def _subset(args) -> list[int]:
     try:
         return [int(x) for x in args.subset.split(",")]
@@ -126,25 +138,54 @@ def _subset(args) -> list[int]:
 
 
 def _sandwich(args) -> str:
-    lo, hi = norm23_bounds(_kind_dist(args), args.eps)
+    lo, hi = norm23_bounds(_load_dist(args.dist), args.eps)
     return json.dumps({"kind": "sandwich", "lower": lo, "upper": hi, "eps": args.eps})
 
 
-# --kind -> the bound's JSON; the keys are the flag's choices
+# the flags of `bounds` besides --kind and --eps: dest -> (type, default)
+_BOUND_FLAGS = {
+    "dist": (str, None),
+    "c1": (_finite_float, 1.0),
+    "c2": (_finite_float, 1.0),
+    "subset": (str, ""),
+    "n": (int, 0),
+    "m": (int, 0),
+    "delta": (_finite_float, 0.5),
+    "eps_tilde": (_finite_float, 0.0),
+    "zeta": (_finite_float, 0.25),
+    "C": (_finite_float, 0.0),
+}
+
+# --kind -> (the bound's JSON, the _BOUND_FLAGS it reads); the keys are the flag's choices
 _BOUNDS = {
-    "vv_lower": lambda a: vv_lower_bound(_kind_dist(a), a.eps, a.c2).to_json(),
-    "vv_upper": lambda a: vv_upper_bound(_kind_dist(a), a.eps, a.c1).to_json(),
-    "sandwich": _sandwich,
-    "postselected": lambda a: postselected_lower_bound(_kind_dist(a), _subset(a), a.eps, a.c2).to_json(),
-    "smin_iqp": lambda a: smin_iqp(a.n, a.delta, a.eps, a.c2).to_json(),
-    "smin_design": lambda a: smin_design(a.n, a.delta, a.eps, a.eps_tilde, a.c2).to_json(),
-    "smin_boson": lambda a: smin_boson(a.n, a.m, a.delta, a.eps, a.zeta, a.C, a.c2).to_json(),
-    "smin_boson_b": lambda a: smin_boson_full_space(a.n, a.eps, a.c2).to_json(),
+    "vv_lower": (lambda a: vv_lower_bound(_load_dist(a.dist), a.eps, a.c2).to_json(), ("dist", "c2")),
+    "vv_upper": (lambda a: vv_upper_bound(_load_dist(a.dist), a.eps, a.c1).to_json(), ("dist", "c1")),
+    "sandwich": (_sandwich, ("dist",)),
+    "postselected": (
+        lambda a: postselected_lower_bound(_load_dist(a.dist), _subset(a), a.eps, a.c2).to_json(),
+        ("dist", "subset", "c2"),
+    ),
+    "smin_iqp": (lambda a: smin_iqp(a.n, a.delta, a.eps, a.c2).to_json(), ("n", "delta", "c2")),
+    "smin_design": (
+        lambda a: smin_design(a.n, a.delta, a.eps, a.eps_tilde, a.c2).to_json(),
+        ("n", "delta", "eps_tilde", "c2"),
+    ),
+    "smin_boson": (
+        lambda a: smin_boson(a.n, a.m, a.delta, a.eps, a.zeta, a.C, a.c2).to_json(),
+        ("n", "m", "delta", "zeta", "C", "c2"),
+    ),
+    "smin_boson_b": (lambda a: smin_boson_full_space(a.n, a.eps, a.c2).to_json(), ("n", "c2")),
 }
 
 
 def cmd_bounds(args):
-    return _BOUNDS[args.kind](args)
+    bound, reads = _BOUNDS[args.kind]
+    if "dist" in reads and args.dist is None:
+        raise InvalidParameterError(f"--kind {args.kind} needs --dist")
+    for flag, (_, default) in _BOUND_FLAGS.items():
+        if flag not in reads and getattr(args, flag) != default:
+            raise InvalidParameterError(f"--{flag.replace('_', '-')} is not read by --kind {args.kind}")
+    return bound(args)
 
 
 def cmd_simulate(args):
@@ -259,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("norms", help="quasi-norms and entropies of a distribution file")
     sp.add_argument("--dist", required=True)
-    sp.add_argument("--eps", type=float, default=0.0)
+    sp.add_argument("--eps", type=_finite_float, default=0.0)
     common(sp, seed=False)
     sp.set_defaults(func=cmd_norms)
 
@@ -269,17 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="vv_lower",
         choices=list(_BOUNDS),
     )
-    sp.add_argument("--dist")
-    sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--c1", type=float, default=1.0)
-    sp.add_argument("--c2", type=float, default=1.0)
-    sp.add_argument("--subset", default="")
-    sp.add_argument("--n", type=int, default=0)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--delta", type=float, default=0.5)
-    sp.add_argument("--eps-tilde", dest="eps_tilde", type=float, default=0.0)
-    sp.add_argument("--zeta", type=float, default=0.25)
-    sp.add_argument("--C", type=float, default=0.0)
+    sp.add_argument("--eps", type=_finite_float, required=True)
+    for dest, (type_, default) in _BOUND_FLAGS.items():
+        sp.add_argument(f"--{dest.replace('_', '-')}", dest=dest, type=type_, default=default)
     common(sp, seed=False)
     sp.set_defaults(func=cmd_bounds)
 
@@ -299,29 +332,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tail-check", help="min-entropy tail bound verification")
     ensemble_args(sp)
-    sp.add_argument("--delta", type=float, required=True)
+    sp.add_argument("--delta", type=_finite_float, required=True)
     common(sp)
     sp.set_defaults(func=cmd_tail_check)
 
     sp = sub.add_parser("anticoncentration", help="anti-concentration vs Paley-Zygmund floor")
     ensemble_args(sp)
-    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--alpha", type=_finite_float, required=True)
     common(sp)
     sp.set_defaults(func=cmd_anticoncentration)
 
     sp = sub.add_parser("certify", help="run the identity test on a samples file")
     sp.add_argument("--target", required=True)
     sp.add_argument("--samples", required=True)
-    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--eps", type=_finite_float, required=True)
     sp.add_argument("--calibration-runs", dest="calibration_runs", type=int, default=300)
     common(sp)
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("complexity", help="empirical sample-complexity search")
     sp.add_argument("--dist", required=True)
-    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--eps", type=_finite_float, required=True)
     sp.add_argument("--adversary", choices=sorted(ADVERSARIES), default="pairwise_shift")
-    sp.add_argument("--distance", type=float, required=True)
+    sp.add_argument("--distance", type=_finite_float, required=True)
     sp.add_argument("--trials", type=int, default=300)
     sp.add_argument("--calibration-runs", dest="calibration_runs", type=int, default=300)
     common(sp)
@@ -330,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bs-tail", help="explicit flatness tail bound for boson sampling")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--c", type=float, default=1.0)
-    sp.add_argument("--C", type=float, default=0.0)
+    sp.add_argument("--c", type=_finite_float, default=1.0)
+    sp.add_argument("--C", type=_finite_float, default=0.0)
     common(sp, seed=False)
     sp.set_defaults(func=cmd_bs_tail)
 

@@ -102,7 +102,7 @@ def lp_quasinorm(v: ProbVec, p: float) -> float:
     Summation is compensated (math.fsum), so the 2/3 quasi-norm of long
     near-uniform vectors is accurate to full double precision.
     """
-    if p < 0:
+    if not p >= 0:
         raise InvalidParameterError("p must be in (0, inf] or 0")
     x = v.entries
     if p == 0:
@@ -134,7 +134,7 @@ def truncate_tail(v: ProbVec, eps: float) -> ProbVec:
     would push the removed weight above eps.  The running sum is a
     sequential cumsum, so it adds in exactly that order.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise InvalidParameterError("eps must be >= 0")
     out = v.entries.copy()
     order = np.argsort(out, kind="stable")

@@ -281,6 +281,11 @@ class TestFlatnessTailBound:
         with pytest.raises(InvalidParameterError):
             bs_flatness_tail_bound(4, 100, c=0.0)
 
+    @pytest.mark.parametrize("c, C", [(math.nan, 0.0), (1.0, math.nan)])
+    def test_nan_constants_rejected(self, c, C):
+        with pytest.raises(InvalidParameterError, match="need c > 0 and C >= 0"):
+            bs_flatness_tail_bound(3, 9, c, C)
+
 
 class TestBosonEnsemble:
     def test_sample_space_size(self):

@@ -120,6 +120,11 @@ class TestNorm23Bounds:
         lo, hi = norm23_bounds(ProbVec.point_mass(8), 0.0)
         assert lo == 0.0 and hi == 0.0
 
+    @pytest.mark.parametrize("eps", [-0.1, math.nan])
+    def test_eps_below_0_or_nan_rejected(self, eps):
+        with pytest.raises(InvalidParameterError, match="eps must be >= 0"):
+            norm23_bounds(ProbVec.uniform(8), eps)
+
     def test_sandwich_on_corpus(self):
         for v in corpus(400, seed=5, dims=(4, 16, 64, 256)):
             for eps in (0.0, 0.1):
@@ -200,6 +205,73 @@ class TestPostselected:
             assert rep.value <= ref.value * (1 + 1e-9)
 
 
+class TestOneVVForm:
+    """The three VV kinds equal, field for field and bit for bit, their formulas written out in full."""
+
+    @staticmethod
+    def written_out(kind, p, eps, const, tail_eps):
+        norm = lp_quasinorm(truncated_core(p, tail_eps), 2.0 / 3.0)
+        quasi_term = norm / eps**2
+        trivial_term = 1.0 / eps
+        inputs = {
+            "eps": eps,
+            "tail_eps": tail_eps,
+            "constant": const,
+            "norm_2_3": norm,
+            "branch": "quasinorm" if quasi_term >= trivial_term else "1/eps",
+        }
+        return BoundReport(kind=kind, value=const * max(trivial_term, quasi_term), inputs=inputs)
+
+    @staticmethod
+    def written_out_postselected(p, subset, eps, const):
+        idx = np.asarray(sorted(set(subset)), dtype=np.intp)
+        weight = math.fsum(p.entries[idx].tolist())
+        core = truncated_core(ProbVec(p.entries[idx] / weight), 2.0 * eps / weight)
+        norm = lp_quasinorm(core, 2.0 / 3.0)
+        quasi_term = weight * norm / eps**2
+        inputs = {
+            "eps": eps,
+            "constant": const,
+            "subset_weight": weight,
+            "norm_2_3": norm,
+            "trivial": weight <= 2.0 * eps,
+            "branch": "quasinorm" if quasi_term >= 1.0 / eps else "1/eps",
+        }
+        return BoundReport(kind="postselected", value=const * max(1.0 / eps, quasi_term), inputs=inputs)
+
+    @given(normalized_targets, st.floats(1e-3, 0.999), st.sampled_from([1.0, 2.5]) | st.floats(1e-3, 1e3), st.data())
+    def test_reports_equal_the_written_out_formulas(self, x, eps, const, data):
+        p = ProbVec(x)
+        pairs = [
+            (vv_lower_bound(p, eps, const), self.written_out("vv_lower", p, eps, const, 2.0 * eps)),
+            (vv_upper_bound(p, eps, const), self.written_out("vv_upper", p, eps, const, eps / 16.0)),
+        ]
+        subset = data.draw(st.lists(st.integers(0, p.dim - 1), min_size=1))
+        if p.entries[subset].sum() > 0:
+            pairs.append((postselected_lower_bound(p, subset, eps, const),
+                          self.written_out_postselected(p, subset, eps, const)))
+        else:
+            with pytest.raises(InvalidParameterError, match="zero probability weight"):
+                postselected_lower_bound(p, subset, eps, const)
+        for rep, expected in pairs:
+            assert rep == expected
+            assert rep.to_json() == expected.to_json()
+
+    @pytest.mark.parametrize("n", [1, 4, 20, 53])
+    def test_min_entropy_kinds_relabel_its_report(self, n):
+        def relabelled(kind, h, notes=UNSPECIFIED_CONSTANT_NOTE, **extra):
+            rep = smin_from_min_entropy(h, 0.1, 2.5)
+            return BoundReport(kind=kind, value=rep.value, inputs=dict(rep.inputs, n=n, **extra), notes=notes)
+
+        h_iqp = max(0.0, 0.5 * (n + math.log2(0.3 / 3.0)))
+        h_design = max(0.0, 0.5 * (n + math.log2(0.3 / (2.0 * (1.0 + 0.2)))))
+        full = smin_boson_full_space(n, 0.1, 2.5)
+        assert smin_iqp(n, 0.3, 0.1, 2.5) == relabelled("iqp", h_iqp, delta=0.3)
+        assert smin_design(n, 0.3, 0.1, 0.2, 2.5) == relabelled("design", h_design, delta=0.3, eps_tilde=0.2)
+        assert full == relabelled("boson_b", 2.0 * n, notes=full.notes)
+        assert full.notes.startswith(UNSPECIFIED_CONSTANT_NOTE + "; holds for nu > 3")
+
+
 class TestMinEntropyBounds:
     def test_scalar_example(self):
         rep = smin_from_min_entropy(10.0, 0.1)
@@ -259,6 +331,18 @@ class TestMinEntropyBounds:
         n = 12
         rep = smin_design(n, 2.0 * 1.1 * 2.0**-n, 0.1, eps_tilde=0.1)
         assert rep.value == 0.0
+
+    @pytest.mark.parametrize(
+        "bound, message",
+        [
+            (lambda: smin_from_min_entropy(math.nan, 0.1), "h_inf must be >= 0"),
+            (lambda: smin_design(10, 0.5, 0.1, eps_tilde=math.nan), "eps_tilde must be >= 0"),
+            (lambda: smin_boson(3, 30, 0.5, 0.1, 0.25, C=math.nan), "C must be >= 0"),
+        ],
+    )
+    def test_nan_parameter_rejected(self, bound, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            bound()
 
     def test_delta_domain(self):
         with pytest.raises(InvalidParameterError):

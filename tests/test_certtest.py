@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -262,6 +263,12 @@ class TestAdversaries:
             tail_deletion_adversary(p, 2.5)
         with pytest.raises(InvalidParameterError):
             max_inflation_adversary(p, 0.5)
+
+    @pytest.mark.parametrize("distance", [math.nan, -0.5, 2.5, math.inf])
+    @pytest.mark.parametrize("name", sorted(ADVERSARIES))
+    def test_distance_outside_0_2_rejected(self, name, distance):
+        with pytest.raises(InvalidParameterError, match=r"^distance must be in \[0, 2\]$"):
+            ADVERSARIES[name](ProbVec.uniform(16), distance)
 
     def test_registry(self):
         assert set(ADVERSARIES) == {"pairwise_shift", "tail_deletion", "max_inflation"}

@@ -1,11 +1,13 @@
+import argparse
 import dataclasses
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from certbound import ProbVec, bounds, certtest, sample_outcomes
+from certbound import ProbVec, bounds, certtest, cli, sample_outcomes
 from certbound.boson import BosonEnsemble, boson_distribution
 from certbound.cli import build_parser, main
 from certbound.qsim import CircuitEnsemble
@@ -38,6 +40,47 @@ class TestNorms:
         code, out, err = run(capsys, "norms", "--dist", spec)
         assert code == 2 and out == ""
         assert err.startswith("resource limit:") and len(err.splitlines()) == 1
+
+
+class TestDistributionCap:
+    """One dimension cap, 2**MAX_QUBITS, on every source of a distribution."""
+
+    @staticmethod
+    def zeros_pvec(path, dim):
+        # a header and a sparse payload of dim zero entries
+        with open(path, "wb") as f:
+            f.write(b"PVEC1" + dim.to_bytes(8, "little"))
+            f.truncate(13 + 8 * dim)
+        return str(path)
+
+    def test_pvec_refused_from_its_size(self, tmp_path, capsys, monkeypatch):
+        big = self.zeros_pvec(tmp_path / "big.pvec", 2**21)
+
+        def unread(self):
+            raise AssertionError(f"{self} was read")
+
+        monkeypatch.setattr(pathlib.Path, "read_bytes", unread)
+        code, out, err = run(capsys, "norms", "--dist", big)
+        assert code == 2 and out == ""
+        assert err == f"resource limit: {big}: dimension exceeds 2**20\n"
+
+    def test_pvec_at_the_cap_is_read(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "norms", "--dist", self.zeros_pvec(tmp_path / "cap.pvec", 2**20))
+        assert code == 0 and json.loads(out)["dim"] == 2**20
+
+    @pytest.mark.parametrize("suffix", [".json", ".pvec"])
+    def test_file_over_a_lowered_cap(self, tmp_path, capsys, monkeypatch, suffix):
+        monkeypatch.setattr(cli, "MAX_QUBITS", 3)
+        for dim, expect in ((8, 0), (9, 2)):
+            path = tmp_path / f"u{dim}{suffix}"
+            u = ProbVec.uniform(dim)
+            if suffix == ".pvec":
+                path.write_bytes(u.to_bytes())
+            else:
+                path.write_text(u.to_json())
+            code, _, err = run(capsys, "bounds", "--dist", str(path), "--eps", "0.1")
+            assert code == expect, err
+        assert err == f"resource limit: {path}: dimension exceeds 2**3\n"
 
 
 class TestBounds:
@@ -83,6 +126,11 @@ class TestBounds:
         code, out, _ = run(capsys, "bounds", "--kind", kind, "--eps", "0.1", *flags)
         assert code == 0
         assert out == expected().to_json() + "\n"
+
+    def test_a_foreign_flag_at_its_default_is_accepted(self, capsys):
+        plain = run(capsys, "bounds", "--kind", "vv_lower", "--dist", "uniform:64", "--eps", "0.1")
+        assert plain[0] == 0
+        assert run(capsys, "bounds", "--kind", "vv_lower", "--dist", "uniform:64", "--eps", "0.1", "--c1", "1") == plain
 
     def test_smin_kinds(self, capsys):
         code, out, _ = run(
@@ -377,6 +425,17 @@ class TestMalformedInput:
         err = self.assert_one_line_error(capsys, "bounds", "--kind", kind, "--eps", "0.1", "--subset", "0")
         assert "--dist" in err
 
+    @pytest.mark.parametrize(
+        "kind, dest",
+        [(kind, dest) for kind, (_, reads) in cli._BOUNDS.items() for dest in cli._BOUND_FLAGS if dest not in reads],
+    )
+    def test_bound_flag_the_kind_does_not_read(self, capsys, kind, dest):
+        flag = "--" + dest.replace("_", "-")
+        value = {"dist": "nofile.json", "subset": "0", "n": "3", "m": "9"}.get(dest, "0.3")
+        dist = ["--dist", "uniform:8"] if "dist" in cli._BOUNDS[kind][1] else []
+        err = self.assert_one_line_error(capsys, "bounds", "--kind", kind, "--eps", "0.1", *dist, flag, value)
+        assert err == f"error: {flag} is not read by --kind {kind}\n"
+
     @pytest.mark.parametrize("subset", [[], ["--subset", "0,a"]])
     def test_postselected_without_a_subset(self, capsys, subset):
         err = self.assert_one_line_error(
@@ -388,3 +447,45 @@ class TestMalformedInput:
     def test_csv_is_boson_only(self, capsys, ensemble):
         err = self.assert_one_line_error(capsys, "simulate", ensemble, "--n", "2", "--csv")
         assert "--csv" in err
+
+
+def _subcommands() -> dict:
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _takes_floats(action) -> bool:
+    try:
+        return action.type is not None and isinstance(action.type("0.5"), float)
+    except (ValueError, TypeError, argparse.ArgumentTypeError):
+        return False
+
+
+_FLOAT_FLAGS = [
+    (name, action.option_strings[0])
+    for name, sp in _subcommands().items()
+    for action in sp._actions
+    if _takes_floats(action)
+]
+
+
+class TestParserGuards:
+    """Walks build_parser(): every float flag is finite, and `bounds --kind` offers exactly _BOUNDS."""
+
+    def test_the_walk_finds_the_float_flags(self):
+        assert {("norms", "--eps"), ("bounds", "--eps-tilde"), ("complexity", "--distance"), ("bs-tail", "--c")} <= set(
+            _FLOAT_FLAGS
+        )
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name, flag", _FLOAT_FLAGS)
+    def test_float_flag_rejects_non_finite(self, capsys, name, flag, bad):
+        code, out, err = run(capsys, name, f"{flag}={bad}")
+        assert code == 1 and out == ""
+        assert err == f"error: argument {flag}: not a finite float: {bad!r}\n"
+
+    def test_kind_choices_are_the_bounds_table(self):
+        (kind,) = [a for a in _subcommands()["bounds"]._actions if a.dest == "kind"]
+        assert list(kind.choices) == list(cli._BOUNDS)
+        for _, reads in cli._BOUNDS.values():
+            assert set(reads) <= set(cli._BOUND_FLAGS)

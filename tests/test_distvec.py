@@ -103,6 +103,10 @@ class TestLpQuasinorm:
         with pytest.raises(InvalidParameterError):
             lp_quasinorm(ProbVec.uniform(2), -1.0)
 
+    def test_nan_p_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            lp_quasinorm(ProbVec.uniform(2), math.nan)
+
     def test_homogeneity_property(self):
         rng = stream_rng(7)
         for _ in range(50):
@@ -152,6 +156,11 @@ class TestTruncation:
     def test_truncate_tail_negative_eps(self):
         with pytest.raises(InvalidParameterError):
             truncate_tail(ProbVec.uniform(4), -0.1)
+
+    def test_truncate_tail_nan_eps(self):
+        # a NaN sorts after every cumulative sum, so unchecked it would zero every entry
+        with pytest.raises(InvalidParameterError, match="eps must be >= 0"):
+            truncate_tail(ProbVec.uniform(4), math.nan)
 
     def test_truncate_tail_maximal(self, small_corpus):
         # removed weight <= eps, and the smallest surviving nonzero would overflow
