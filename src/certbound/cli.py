@@ -56,13 +56,13 @@ def _load_dist(spec: str) -> ProbVec:
     elif path.suffix == ".pvec":
         d = (path.stat().st_size - 13) // 8  # 13-byte header, 8 bytes an entry; the payload is not read yet
     else:
-        v = ProbVec.from_json(path.read_text())
-        d = v.dim
+        text = path.read_text()
+        d = text.count(",") + 1  # an array of d numbers has d - 1 commas; the JSON is not parsed yet
     if d > 2**MAX_QUBITS:
         raise ResourceLimitError(f"{spec}: dimension exceeds 2**{MAX_QUBITS}")
     if builtin:
         return ProbVec.uniform(d) if kind == "uniform" else ProbVec.point_mass(d)
-    return ProbVec.from_bytes(path.read_bytes()) if path.suffix == ".pvec" else v
+    return ProbVec.from_bytes(path.read_bytes()) if path.suffix == ".pvec" else ProbVec.from_json(text)
 
 
 def _finite_float(text: str) -> float:

@@ -8,6 +8,7 @@ entropies are in bits.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -20,6 +21,20 @@ from .errors import InvalidParameterError
 NORMALIZATION_TOL = 1e-9
 
 _MAGIC = b"PVEC1"
+
+_FSUM_CHUNK = 1 << 16
+
+
+def _fsum(x: np.ndarray) -> float:
+    """math.fsum over the entries of x, turned into Python floats one chunk at a time.
+
+    fsum is correctly rounded, so this gives the bits of fsum(x.tolist()).
+    A whole 2^20-entry list fills ~24 MB of the interpreter's small-object
+    arenas at once, and a long-lived object placed among its floats keeps
+    its arena from being released; chunks keep that memory small and reused.
+    """
+    chunks = (x[i : i + _FSUM_CHUNK].tolist() for i in range(0, x.size, _FSUM_CHUNK))
+    return math.fsum(itertools.chain.from_iterable(chunks))
 
 
 @dataclass(frozen=True)
@@ -50,7 +65,7 @@ class ProbVec:
         return self.entries.size
 
     def sum(self) -> float:
-        return math.fsum(self.entries.tolist())
+        return _fsum(self.entries)
 
     @staticmethod
     def uniform(d: int) -> "ProbVec":
@@ -109,14 +124,14 @@ def lp_quasinorm(v: ProbVec, p: float) -> float:
         return float(np.count_nonzero(x))
     if math.isinf(p):
         return float(x.max())
-    s = math.fsum(np.power(x, p).tolist())
+    s = _fsum(np.power(x, p))
     return s ** (1.0 / p)
 
 
 def l1_distance(p: ProbVec, q: ProbVec) -> float:
     if p.dim != q.dim:
         raise InvalidParameterError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    return math.fsum(np.abs(p.entries - q.entries).tolist())
+    return _fsum(np.abs(p.entries - q.entries))
 
 
 def remove_max(v: ProbVec) -> ProbVec:
@@ -126,29 +141,49 @@ def remove_max(v: ProbVec) -> ProbVec:
     return ProbVec(out)
 
 
-def truncate_tail(v: ProbVec, eps: float) -> ProbVec:
-    """Greedily zero the smallest nonzero entries while their sum stays <= eps.
+def _zero_tail(out: np.ndarray, eps: float) -> None:
+    """Zero, in place, the smallest entries of `out` while their sum stays <= eps.
 
-    Removal is maximal under the constraint: entries are visited in
-    ascending order (ties at lowest index) and zeroed until the next one
-    would push the removed weight above eps.  The running sum is a
-    sequential cumsum, so it adds in exactly that order.
+    The cut count comes from a sequential cumsum over the sorted values;
+    ties at the cut value break at the lowest index.
     """
     if not eps >= 0:
         raise InvalidParameterError("eps must be >= 0")
+    ascending = np.sort(out)
+    k = int(np.searchsorted(np.cumsum(ascending), eps, side="right"))
+    if k == 0:
+        return
+    cut = ascending[k - 1]
+    below = out < cut
+    ties = np.flatnonzero(out == cut)[: k - int(np.count_nonzero(below))]
+    out[below] = 0.0
+    out[ties] = 0.0
+
+
+def truncate_tail(v: ProbVec, eps: float) -> ProbVec:
+    """Greedily zero the smallest nonzero entries while their sum stays <= eps.
+
+    Removal is maximal under the constraint: entries are taken in ascending
+    order of value (ties at the lowest index) and zeroed until the next one
+    would push the removed weight above eps.  Only the values are sorted;
+    the running sum is a sequential cumsum over them, so it adds in exactly
+    that order.
+    """
     out = v.entries.copy()
-    order = np.argsort(out, kind="stable")
-    out[order[: np.searchsorted(np.cumsum(out[order]), eps, side="right")]] = 0.0
+    _zero_tail(out, eps)
     return ProbVec(out)
 
 
 def truncated_core(v: ProbVec, eps: float) -> ProbVec:
-    """remove_max first, then truncate_tail(eps).
+    """remove_max first, then truncate_tail(eps), on one working copy.
 
     For eps >= 1 - max(v) everything but the (already removed) max is
     removable and the result can be the all-zero vector.
     """
-    return truncate_tail(remove_max(v), eps)
+    out = v.entries.copy()
+    out[int(np.argmax(out))] = 0.0
+    _zero_tail(out, eps)
+    return ProbVec(out)
 
 
 def renyi_entropy(v: ProbVec, alpha: float) -> float:
@@ -157,7 +192,7 @@ def renyi_entropy(v: ProbVec, alpha: float) -> float:
         raise InvalidParameterError("renyi_entropy requires a normalized vector")
     if alpha == 1:
         raise InvalidParameterError("alpha = 1 (Shannon) is out of scope")
-    if alpha < 0:
+    if not alpha >= 0:
         raise InvalidParameterError("alpha must be >= 0")
     if math.isinf(alpha):
         return min_entropy(v)

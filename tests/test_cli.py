@@ -68,6 +68,19 @@ class TestDistributionCap:
         code, out, _ = run(capsys, "norms", "--dist", self.zeros_pvec(tmp_path / "cap.pvec", 2**20))
         assert code == 0 and json.loads(out)["dim"] == 2**20
 
+    def test_json_refused_before_parsing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_QUBITS", 3)
+        path = tmp_path / "u9.json"
+        path.write_text(ProbVec.uniform(9).to_json())
+
+        def unparsed(text):
+            raise AssertionError(f"{path} was parsed")
+
+        monkeypatch.setattr(ProbVec, "from_json", staticmethod(unparsed))
+        code, out, err = run(capsys, "norms", "--dist", str(path))
+        assert code == 2 and out == ""
+        assert err == f"resource limit: {path}: dimension exceeds 2**3\n"
+
     @pytest.mark.parametrize("suffix", [".json", ".pvec"])
     def test_file_over_a_lowered_cap(self, tmp_path, capsys, monkeypatch, suffix):
         monkeypatch.setattr(cli, "MAX_QUBITS", 3)

@@ -118,6 +118,19 @@ class TestLpQuasinorm:
                 assert a == pytest.approx(b, rel=1e-12)
 
 
+class TestCompensatedSums:
+    @pytest.mark.parametrize("dim", [1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+    def test_sums_match_fsum_over_one_list(self, dim):
+        rng = stream_rng(dim)
+        x = rng.random(dim) ** 8  # many binades, so a chunk dropped or counted twice shows in the bits
+        y = rng.random(dim)
+        v, w = ProbVec(x), ProbVec(y)
+        assert v.sum() == math.fsum(x.tolist())
+        assert lp_quasinorm(v, 1.0) == math.fsum(x.tolist())
+        assert lp_quasinorm(v, 2 / 3) == math.fsum(np.power(x, 2 / 3).tolist()) ** (1.0 / (2 / 3))
+        assert l1_distance(v, w) == math.fsum(np.abs(x - y).tolist())
+
+
 class TestL1Distance:
     def test_examples(self):
         a = ProbVec(np.array([0.5, 0.5]))
@@ -237,6 +250,48 @@ class TestTruncateTailProperties:
         assert lp_quasinorm(truncated_core(v, eps), 2 / 3) <= lp_quasinorm(v, 2 / 3)
 
 
+def _truncate_tail_argsort(x: np.ndarray, eps: float) -> np.ndarray:
+    """Reference: a stable argsort of the indices, a cumsum in that order, and one cut."""
+    out = x.copy()
+    order = np.argsort(out, kind="stable")
+    out[order[: np.searchsorted(np.cumsum(out[order]), eps, side="right")]] = 0.0
+    return out
+
+
+def _tied_vectors(rng: np.random.Generator):
+    """Vectors up to dim 4096 whose values come from 3-4 levels, as IQP targets have them, with zeros and -0.0."""
+    for dim in (1, 2, 3, 7, 64, 255, 1024, 4096):
+        for levels in ([0.0, 1.0, 3.0], [0.0, -0.0, 1.0, 3.0], [-0.0, 2.0**-10, 3 * 2.0**-10, 7 * 2.0**-12]):
+            x = rng.choice(np.array(levels), size=dim)
+            yield x / x.sum() if x.sum() > 0 else x
+        x = rng.random(dim)
+        x[rng.random(dim) < 0.3] = -0.0
+        yield x
+
+
+class TestTruncateTailBitExact:
+    """`truncate_tail` and `truncated_core` give the argsort reference's bytes, ties, zeros and -0.0 included."""
+
+    @staticmethod
+    def _cases():
+        for x in _tied_vectors(stream_rng(17)):
+            sums = np.cumsum(np.sort(x))
+            # every exact cumsum value is a cut point; 0 and eps above the total bracket them
+            picks = sums if sums.size <= 64 else sums[stream_rng(x.size).choice(sums.size, 64, replace=False)]
+            for eps in [0.0, *picks.tolist(), float(sums[-1]) + 1.0]:
+                yield x, eps
+
+    def test_truncate_tail_matches_argsort(self):
+        for x, eps in self._cases():
+            assert truncate_tail(ProbVec(x), eps).entries.tobytes() == _truncate_tail_argsort(x, eps).tobytes()
+
+    def test_truncated_core_matches_argsort(self):
+        for x, eps in self._cases():
+            v = ProbVec(x)
+            want = _truncate_tail_argsort(remove_max(v).entries, eps)
+            assert truncated_core(v, eps).entries.tobytes() == want.tobytes()
+
+
 # any finite non-negative entries, with zeros, subnormals and single entries drawn often
 _any_entries = st.lists(
     st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-310]), st.floats(0.0, 1.0)),
@@ -277,6 +332,8 @@ class TestEntropies:
             renyi_entropy(ProbVec.uniform(4), 1)
         with pytest.raises(InvalidParameterError):
             renyi_entropy(ProbVec(np.array([0.3, 0.3])), 2)
+        with pytest.raises(InvalidParameterError, match="alpha must be >= 0"):
+            renyi_entropy(ProbVec.uniform(4), math.nan)
 
     def test_min_entropy_examples(self):
         assert min_entropy(ProbVec.uniform(2**5)) == pytest.approx(5.0, abs=1e-12)
