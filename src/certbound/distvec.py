@@ -95,8 +95,8 @@ class ProbVec:
 
     def to_bytes(self) -> bytes:
         """Binary column format: magic 'PVEC1', u64 little-endian length, float64 payload."""
-        payload = self.entries.astype("<f8").tobytes()
-        return _MAGIC + struct.pack("<Q", self.dim) + payload
+        payload = self.entries.astype("<f8", copy=False)  # entries are C-contiguous, so one copy in join
+        return b"".join((_MAGIC, struct.pack("<Q", self.dim), payload.data))
 
     @staticmethod
     def from_bytes(blob: bytes) -> "ProbVec":

@@ -113,9 +113,20 @@ def _check_qubits(n: int):
         raise ResourceLimitError(f"n = {n} exceeds the configured maximum of {MAX_QUBITS} qubits")
 
 
+# Entries of one complex block in the simulators' amplitude steps: 8 MiB, no larger than a
+# float64 vector at the 2^20 cap.  glibc raises its mmap threshold to the largest block freed,
+# so one 16 MiB array would move every later 8-16 MiB array onto the heap, whose resident
+# size then depends on allocation order and varied from one run to the next.
+_BLOCK = 1 << 19
+
+
 def fwht(a: np.ndarray) -> np.ndarray:
     """Fast Walsh-Hadamard transform (unnormalized), in place on one copy of `a`."""
-    a = a.copy()
+    return _fwht_inplace(a.copy())
+
+
+def _fwht_inplace(a: np.ndarray) -> np.ndarray:
+    """fwht on `a` itself, with one half-size scratch buffer."""
     n = a.size
     diff = np.empty(n // 2, dtype=a.dtype)
     h = 1
@@ -128,6 +139,26 @@ def fwht(a: np.ndarray) -> np.ndarray:
         bot[...] = d
         h *= 2
     return a
+
+
+def _fwht_blocks(blocks: list[np.ndarray]) -> None:
+    """fwht, in place, of the concatenation of equal-size power-of-two blocks.
+
+    Levels below the block size run inside each block and the rest pair whole
+    blocks.  Every level adds and subtracts the same pairs as fwht on one
+    array, so the bits are the same.
+    """
+    for b in blocks:
+        _fwht_inplace(b)
+    h = 1
+    while h < len(blocks):
+        diff = np.empty_like(blocks[0])
+        for j in range(0, len(blocks), 2 * h):
+            for top, bot in zip(blocks[j : j + h], blocks[j + h : j + 2 * h]):
+                np.subtract(top, bot, out=diff)
+                top += bot
+                bot[...] = diff
+        h *= 2
 
 
 def iqp_output_distribution(w: IqpWeights) -> ProbVec:
@@ -144,19 +175,38 @@ def iqp_output_distribution(w: IqpWeights) -> ProbVec:
     the k-th qubit not yet placed, so the build is O(2^n) work in O(n) numpy
     calls.
     """
-    n = w.n
-    _check_qubits(n)
+    _check_qubits(w.n)
+    theta = _phases(w)
+    blocks = [np.exp(1j * theta[i : i + _BLOCK]) for i in range(0, theta.size, _BLOCK)]
+    del theta
+    _fwht_blocks(blocks)
+    # the 1/2^n amplitude scale is a power of two, so dropping it before normalizing is exact
+    return _probabilities(blocks)
+
+
+def _phases(w: IqpWeights) -> np.ndarray:
+    """theta(x) for every x, built by doubling (see iqp_output_distribution)."""
     rev = w.w[::-1, ::-1]  # row/column i is qubit n - 1 - i
     theta = np.zeros(1)
     acc = np.diag(rev)[:, None]
-    for i in range(n):
+    for i in range(w.n):
         a, acc = acc[0], acc[1:]
         theta = np.concatenate((theta + a, theta - a))
         col = rev[i + 1 :, i, None]
         acc = np.concatenate((acc + col, acc - col), axis=1)
-    # the 1/2^n amplitude scale is a power of two, so dropping it before normalizing is exact
-    probs = np.abs(fwht(np.exp(1j * theta))) ** 2
-    return ProbVec(probs / probs.sum())
+    return theta
+
+
+def _probabilities(blocks: list[np.ndarray]) -> ProbVec:
+    """|a|^2 / sum |a|^2 for the amplitude vector a that the complex blocks concatenate to."""
+    probs = np.empty(sum(b.size for b in blocks))
+    i = 0
+    for b in blocks:
+        np.abs(b, out=probs[i : i + b.size])
+        i += b.size
+    np.square(probs, out=probs)
+    probs /= probs.sum()
+    return ProbVec(probs)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -182,9 +232,15 @@ def haar_state_distribution(n: int, rng: np.random.Generator) -> ProbVec:
     """
     _check_qubits(n)
     dim = 2**n
-    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    probs = np.abs(psi) ** 2
-    return ProbVec(probs / probs.sum())
+    re, im = rng.standard_normal(dim), rng.standard_normal(dim)
+    blocks = []
+    for i in range(0, dim, _BLOCK):
+        # re + 1j * im, but for the sign of a zero real part, which abs drops
+        z = np.empty(min(dim, _BLOCK), dtype=complex)
+        z.real, z.imag = re[i : i + _BLOCK], im[i : i + _BLOCK]
+        blocks.append(z)
+    del re, im
+    return _probabilities(blocks)
 
 
 def local_random_circuit_distribution(n: int, depth: int, rng: np.random.Generator) -> ProbVec:

@@ -128,6 +128,15 @@ class TestIqpDistribution:
         with pytest.raises(ResourceLimitError):
             iqp_output_distribution(IqpWeights(21, (0.0,), np.zeros((21, 21))))
 
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_same_bits_as_the_complex_formula(self, n, monkeypatch):
+        # blocks of 16 entries, so n = 7 runs three levels across blocks
+        monkeypatch.setattr(qsim, "_BLOCK", 16)
+        w = IqpWeights.random(n, stream_rng(14, n))
+        oracle = np.abs(fwht(np.exp(1j * qsim._phases(w)))) ** 2
+        mine = iqp_output_distribution(w).entries
+        assert mine.tobytes() == (oracle / oracle.sum()).tobytes()
+
 
 class TestHaar:
     def test_d1_is_phase(self):
@@ -162,6 +171,15 @@ class TestHaarStateDistribution:
     def test_normalized(self):
         p = haar_state_distribution(5, stream_rng(12))
         assert p.normalized
+
+    @pytest.mark.parametrize("n", [1, 6, 9])
+    def test_same_bits_as_the_complex_formula(self, n, monkeypatch):
+        monkeypatch.setattr(qsim, "_BLOCK", 64)
+        rng = stream_rng(15, n)
+        psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        oracle = np.abs(psi) ** 2
+        mine = haar_state_distribution(n, stream_rng(15, n)).entries
+        assert mine.tobytes() == (oracle / oracle.sum()).tobytes()
 
     def test_single_qubit_second_moment(self):
         # E[P(0)^2] = 2/(D(D+1)) = 1/3 at D=2
