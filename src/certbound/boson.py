@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.special import erfc
 
-from .distvec import ProbVec
+from .distvec import ProbVec, _fsum
 from .errors import InvalidParameterError, ResourceLimitError, MAX_OUTCOMES
 from .qsim import haar_unitary
 from .rng import stream_rng
@@ -51,7 +51,15 @@ class ModeOccupation:
         return all(x <= 1 for x in self.s)
 
     def __str__(self) -> str:
-        return "".join(str(x) for x in self.s) if max(self.s) <= 9 else ",".join(map(str, self.s))
+        return _occupation_text(np.array([self.s]))[0]
+
+
+def _occupation_text(occ: np.ndarray) -> list[str]:
+    """Each row of an (outcomes, m) array of occupation numbers as text: its digits, or its numbers
+    joined by commas where one of them exceeds 9."""
+    if occ.max(initial=0) <= 9:
+        return (occ.astype(np.uint8) + ord("0")).view(f"S{occ.shape[1]}").ravel().astype(str).tolist()
+    return ["".join(map(str, row)) if max(row) <= 9 else ",".join(map(str, row)) for row in occ.tolist()]
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,12 @@ class OutcomeSpace(Sequence):
 
     def __getitem__(self, i: int) -> ModeOccupation:
         return ModeOccupation(tuple(np.bincount(self.rows[i], minlength=self.m)))
+
+    def labels(self) -> list[str]:
+        """str() of every outcome, in order, counted from the rows at once rather than one object each."""
+        size, n = self.rows.shape
+        cell = (np.arange(size)[:, None] * self.m + self.rows).ravel()
+        return _occupation_text(np.bincount(cell, minlength=size * self.m).reshape(size, self.m))
 
 
 def enumerate_phi(m: int, n: int, collision_free_only: bool = False) -> list[ModeOccupation]:
@@ -188,7 +202,7 @@ def collision_weight(inst: BosonInstance) -> float:
     """Probability weight outside the collision-free subspace."""
     p, outcomes = boson_distribution(inst)
     colliding = np.any(outcomes.rows[:, 1:] == outcomes.rows[:, :-1], axis=1)
-    return float(math.fsum(p.entries[colliding].tolist()))
+    return _fsum(p.entries[colliding])
 
 
 def gaussian_repeated_sample(occ: ModeOccupation, n: int, sigma: float, rng: np.random.Generator) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distvec import ProbVec, lp_quasinorm, min_entropy, truncated_core
+from .distvec import ProbVec, _fsum, lp_quasinorm, min_entropy, truncated_core
 from .errors import InvalidParameterError
 
 UNSPECIFIED_CONSTANT_NOTE = "up to unspecified universal constant"
@@ -139,7 +139,7 @@ def postselected_lower_bound(p: ProbVec, subset, eps: float, c2: float = 1.0) ->
         raise InvalidParameterError("subset must be nonempty")
     if idx.min() < 0 or idx.max() >= p.dim:
         raise InvalidParameterError("subset index out of range")
-    weight = math.fsum(p.entries[idx].tolist())
+    weight = _fsum(p.entries[idx])
     if weight <= 0:
         raise InvalidParameterError("subset has zero probability weight")
     norm = _core_norm(ProbVec(p.entries[idx] / weight), 2.0 * eps / weight)

@@ -25,12 +25,11 @@ none of its kind or `distance` is not in [0, 2].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distvec import ProbVec, l1_distance, truncate_tail, truncated_core
+from .distvec import ProbVec, _fsum, l1_distance, truncate_tail, truncated_core
 from .errors import InvalidParameterError, ResourceLimitError
 from .qsim import inverse_cdf
 from .rng import stream_rng
@@ -40,6 +39,10 @@ CALIBRATION_MARGIN = 0.05  # absorbs Monte-Carlo noise on top of the 2/3 target
 # Entries of the (trials x samples) draw and of the (trials x bulk) term array
 # per chunk of trials (8 MB per 8-byte array); bounds the tester's peak memory.
 _CHUNK_ENTRIES = 1 << 20
+
+# Entries of the (trials x samples) draws per block of trials inside a chunk; a block's draws and
+# their run lengths stay in cache.
+_BLOCK_ENTRIES = 1 << 17
 
 # Largest sample size a tester takes; the complexity search gives up above it.
 _S_MAX = 1 << 20
@@ -93,59 +96,76 @@ class CertificationTester:
         self._in_tail[self.bulk] = False
         self._in_tail[self.max_index] = False
         self.tail_weight = float(p.entries[self._in_tail].sum())
-        # per-bulk-outcome constants of the statistic, and each outcome's bulk position (-1 off the bulk)
+        # per-bulk-outcome constants of the statistic and each outcome's bulk position, with one more
+        # (scratch) position, at constants that give finite terms, for every outcome off the bulk
+        nb = self.bulk.size
         pb = p.entries[self.bulk]
-        self._spb = float(cfg.samples) * pb
-        self._pb23 = pb ** (2.0 / 3.0)
+        self._spb = np.append(float(cfg.samples) * pb, 0.0)
+        self._pb23 = np.append(pb ** (2.0 / 3.0), 1.0)
         self._zero_terms = _bulk_terms(0.0, self._spb, self._pb23)
-        self._bulk_pos = np.full(p.dim, -1, dtype=np.int64)
-        self._bulk_pos[self.bulk] = np.arange(self.bulk.size)
+        self._bulk_pos = np.full(p.dim, nb, dtype=np.int64)
+        self._bulk_pos[self.bulk] = np.arange(nb)
         self.threshold = self._calibrate()
 
     # -- statistics ------------------------------------------------------
 
-    def _components(self, rows: np.ndarray) -> np.ndarray:
-        """Raw statistic components for a (trials, samples) array of outcome indices, each row sorted."""
-        t, n = rows.shape
+    def _components(self, blocks, t: int) -> np.ndarray:
+        """Raw (t, 3) statistic components of t trials, from an iterable of (trials, samples) blocks of
+        outcome indices that hold the t trials in order, each row sorted."""
         s = float(self.cfg.samples)
         p = self.p.entries
-        # run lengths of the sorted rows give each (trial, outcome) pair that occurs, with its count
-        new = np.ones((t, n), dtype=bool)
-        new[:, 1:] = rows[:, 1:] != rows[:, :-1]
-        first = np.flatnonzero(new)
-        count = np.diff(np.r_[first, rows.size])
-        trial, outcome = first // n, rows.ravel()[first]
-
         # every bulk outcome adds a term, the ones not drawn at count 0. np.sum adds each row of an
         # F-ordered (t > 1, n) array left to right and a C-ordered one pairwise; the thresholds and
-        # verdicts depend on that order to the last bit, and tests pin them, so keep F order
-        terms = np.empty((t, self.bulk.size), order="F")
+        # verdicts depend on that order to the last bit, and tests pin them, so keep F order and sum
+        # all t rows at once, however the blocks split them
+        terms = np.empty((t, self._zero_terms.size), order="F")
         terms[:] = self._zero_terms
-        in_bulk = self._bulk_pos[outcome] >= 0
-        at = self._bulk_pos[outcome[in_bulk]]
-        x = count[in_bulk].astype(np.float64)
-        terms[trial[in_bulk], at] = _bulk_terms(x, self._spb[at], self._pb23[at])
-        bulk = np.sum(terms, axis=1)
-
-        # integer-valued sums, exact in any order
-        tail = np.bincount(trial, weights=count * self._in_tail[outcome], minlength=t) - s * self.tail_weight
-        at_max = outcome == self.max_index
+        flat = terms.reshape(-1, order="F")  # flat[at * t + trial] is terms[trial, at]
+        tail = np.empty(t, dtype=np.int64)
         x_max = np.zeros(t)
-        x_max[trial[at_max]] = count[at_max]
+        row = 0
+        for rows in blocks:
+            b, n = rows.shape
+            # run lengths of the sorted rows give each (trial, outcome) pair that occurs, with its count
+            new = np.empty((b, n), dtype=bool)
+            new[:, 0] = True
+            np.not_equal(rows[:, 1:], rows[:, :-1], out=new[:, 1:])
+            first = np.flatnonzero(new)
+            del new
+            count = np.diff(first, append=rows.size)
+            outcome = rows.ravel()[first]
+            trial = first // n + row
+            at = self._bulk_pos[outcome]
+            flat[at * t + trial] = _bulk_terms(count.astype(np.float64), self._spb[at], self._pb23[at])
+            del at
+            # integer-valued sums, exact in any order; every row starts a run
+            starts = np.searchsorted(first, np.arange(0, rows.size, n))
+            tail[row : row + b] = np.add.reduceat(count * self._in_tail[outcome], starts)
+            at_max = outcome == self.max_index
+            x_max[trial[at_max]] = count[at_max]
+            row += b
+        bulk = np.sum(terms[:, :-1], axis=1)
         mx = np.abs(x_max - s * p[self.max_index])
-        return np.column_stack([bulk, tail, mx])
+        return np.column_stack([bulk, tail - s * self.tail_weight, mx])
 
     def _draw_components(self, q: ProbVec, rng: np.random.Generator, trials: int) -> np.ndarray:
         """(trials, 3) components of `trials` i.i.d. sample sets drawn from q, a chunk of trials at a time."""
         s, dim = self.cfg.samples, self.p.dim
         step = max(1, _CHUNK_ENTRIES // max(s, dim))
+        block = max(1, _BLOCK_ENTRIES // s)
         outcomes = inverse_cdf(q)
+
+        def draws(t):
+            for start in range(0, t, block):
+                # the same stream as rng.random(t * s); sorting a row only permutes one trial's draws
+                u = rng.random((min(block, t - start), s))
+                u.sort(axis=1)
+                yield outcomes(u)
+
         parts = []
         for start in range(0, trials, step):
             t = min(step, trials - start)
-            # the same stream as rng.random(t * s); sorting a row only permutes one trial's draws
-            rows = outcomes(np.sort(rng.random((t, s)), axis=1))
-            parts.append(self._components(rows))
+            parts.append(self._components(draws(t), t))
         return np.concatenate(parts)
 
     def _calibrate(self) -> float:
@@ -171,7 +191,7 @@ class CertificationTester:
             raise InvalidParameterError("sample index out of range")
         if samples.size != self.cfg.samples:
             raise InvalidParameterError("sample count does not match the calibrated size")
-        return float(self._combined(self._components(np.sort(samples.astype(np.int64))[None, :]))[0])
+        return float(self._combined(self._components([np.sort(samples.astype(np.int64))[None, :]], 1))[0])
 
     def test(self, samples) -> TestVerdict:
         stat = self.statistic(samples)
@@ -231,7 +251,7 @@ def tail_deletion_adversary(p: ProbVec, distance: float) -> ProbVec:
     if w >= 1.0:
         raise InvalidParameterError("cannot delete a full unit of weight")
     q = truncate_tail(p, w).entries.copy()
-    remaining = w - math.fsum(p.entries[q == 0].tolist())
+    remaining = w - _fsum(p.entries[q == 0])
     whole = np.flatnonzero(q)
     if remaining > 0 and whole.size:
         j = whole[np.argmin(q[whole])]
@@ -241,7 +261,7 @@ def tail_deletion_adversary(p: ProbVec, distance: float) -> ProbVec:
         whole = whole[whole != j]
     if remaining > 1e-12 or not whole.size:
         raise InvalidParameterError("target distance not reachable by tail deletion")
-    kept = math.fsum(q[whole].tolist())
+    kept = _fsum(q[whole])
     q[whole] *= (kept + w) / kept
     return ProbVec(q)
 

@@ -195,7 +195,7 @@ def cmd_simulate(args):
     if args.csv:
         dist, outcomes = boson_distribution(ens.instance(0))
         lines = ["occupation,probability"]
-        lines += [f"{occ},{float(prob)!r}" for occ, prob in zip(outcomes, dist.entries)]
+        lines += [f"{occ},{prob!r}" for occ, prob in zip(outcomes.labels(), dist.entries.tolist())]
         return "\n".join(lines) + "\n"
     dist = ens.instance_distribution(0)
     return dist.to_bytes() if args.out and args.out.endswith(".pvec") else dist.to_json()

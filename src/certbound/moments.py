@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distvec import ProbVec, min_entropy
+from .distvec import ProbVec, _fsum, min_entropy
 from .errors import InvalidParameterError
 
 
@@ -30,7 +30,7 @@ def _sweep(ensemble, num_instances: int, stat) -> np.ndarray:
 
 def _collision(p: ProbVec) -> float:
     """sum_S P(S)^2 (= 2^-H2)."""
-    return math.fsum((p.entries**2).tolist())
+    return _fsum(p.entries**2)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -219,6 +220,35 @@ class TestChunkedSampling:
         drawn = sample_outcomes(q, samples, stream_rng(seed, 3))
         comps = dense_oracle(tester, np.bincount(drawn, minlength=p.dim))
         assert tester.statistic(drawn) == float(np.max((comps - centers) / scales, axis=1)[0])
+
+    def test_one_row_remainders_match_the_dense_oracle(self, monkeypatch):
+        # chunks of 5 trials and blocks of 2: 101 trials end in a chunk of one row, and every chunk of 5
+        # in a block of one row, which must still be summed with the rows of its chunk
+        monkeypatch.setattr(certtest, "_CHUNK_ENTRIES", 5 * 64)
+        monkeypatch.setattr(certtest, "_BLOCK_ENTRIES", 2 * 64)
+        p = ProbVec(np.random.default_rng(6).dirichlet(np.ones(48)))  # a bulk wide enough to round either way
+        tester = CertificationTester(p, TesterConfig(eps=0.5, samples=64, calibration_runs=101, seed=2))
+        comps = tester._draw_components(p, stream_rng(2, 0xCA11B), 101)
+        assert comps.tobytes() == dense_components(tester, p, stream_rng(2, 0xCA11B), 101, 5).tobytes()
+        centers, scales, threshold = dense_calibration(tester, 5)
+        assert tester._centers.tobytes() == centers.tobytes() and tester._scales.tobytes() == scales.tobytes()
+        assert tester.threshold == threshold
+
+    def test_memory_does_not_grow_with_calibration_runs(self):
+        # aim: the tester's memory is bounded by the outcome space, not by trials x dim or trials x samples
+        p = ProbVec(np.random.default_rng(7).dirichlet(np.ones(2**12)))
+        peaks = []
+        for runs in (300, 1200):
+            tracemalloc.start()
+            try:
+                CertificationTester(p, TesterConfig(eps=0.5, samples=5000, calibration_runs=runs))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # what grows is the (runs, 3) components and the few copies that the median and quantiles take
+        assert peaks[1] - peaks[0] < 4 * (1200 - 300) * 3 * 8
+        # one chunk's term array (at most 8 MiB) and the draws and run lengths of one block
+        assert peaks[1] < 16 * 2**20
 
     def test_accept_rate_needs_a_trial(self):
         p = ProbVec.uniform(4)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from certbound import (
     truncate_tail,
     truncated_core,
 )
+from certbound import distvec
 from certbound.errors import InvalidParameterError
 from certbound.rng import stream_rng
 
@@ -129,6 +131,11 @@ class TestCompensatedSums:
         assert lp_quasinorm(v, 1.0) == math.fsum(x.tolist())
         assert lp_quasinorm(v, 2 / 3) == math.fsum(np.power(x, 2 / 3).tolist()) ** (1.0 / (2 / 3))
         assert l1_distance(v, w) == math.fsum(np.abs(x - y).tolist())
+
+    def test_one_fsum_in_the_package(self):
+        # every compensated sum goes through distvec._fsum, which never lists a whole array at once
+        src = Path(distvec.__file__).parent
+        assert sum(f.read_text().count("math.fsum(") for f in sorted(src.glob("*.py"))) == 1
 
 
 class TestL1Distance:

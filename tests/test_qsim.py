@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.stats import kstest
 
@@ -20,6 +22,8 @@ from certbound import qsim
 from certbound.errors import InvalidParameterError, ResourceLimitError
 from certbound.qsim import DEFAULT_ANGLE_SET, fwht
 from certbound.rng import stream_rng
+
+from conftest import normalized_targets
 
 
 def iqp_unitary_dense(w: IqpWeights) -> np.ndarray:
@@ -211,6 +215,30 @@ class TestLocalRandomCircuit:
         assert p.normalized and p.dim == 2
 
 
+def _zero_run(lead, mass, run, trail):
+    """`lead` zeros, `mass` at one entry, a run of `run` zeros, the rest of the mass, `trail` zeros: the run's
+    CDF entries all equal `mass`, mostly inside one bucket of the lookup."""
+    return np.array([0.0] * lead + [mass] + [0.0] * run + [1.0 - mass] + [0.0] * trail)
+
+
+def _past_one(seed):
+    """A normalized vector, then zeros, whose cumsum passes 1 before the last entry is pinned to it."""
+    rng = np.random.default_rng(seed)
+    while True:
+        x = rng.dirichlet(np.ones(rng.integers(2, 30)))
+        if np.cumsum(x)[-1] > 1.0:
+            return np.concatenate([x, np.zeros(rng.integers(1, 4))])
+
+
+lookup_targets = st.one_of(
+    normalized_targets,
+    st.builds(_zero_run, st.integers(0, 3), st.floats(0.01, 0.99), st.integers(qsim._REFINE + 1, 80), st.integers(0, 3)),
+    st.integers(1, 40).flatmap(lambda d: st.integers(0, d - 1).map(lambda i: ProbVec.point_mass(d, i).entries)),
+    st.integers(0, 2**16).map(_past_one),
+    st.integers(0, 12).map(lambda n: np.full(2**n, 2.0**-n)),
+)
+
+
 class TestSampleOutcomes:
     def test_point_mass(self):
         s = sample_outcomes(ProbVec.point_mass(5, 3), 100, stream_rng(0))
@@ -240,6 +268,22 @@ class TestSampleOutcomes:
             reference = np.searchsorted(cdf, stream_rng(seed).random(1000), side="right")
             drawn = sample_outcomes(p, 1000, stream_rng(seed))
             assert drawn.dtype == np.int64 and np.array_equal(drawn, reference)
+
+    @given(lookup_targets, st.integers(0, 2**16))
+    def test_bucketed_lookup_matches_searchsorted(self, x, seed):
+        p = ProbVec(x)
+        cdf = np.cumsum(p.entries)
+        cdf[-1] = 1.0
+        k = 2 << (p.dim - 1).bit_length()  # the lookup's buckets, so that edges and CDF values are probed exactly
+        marks = np.concatenate([np.arange(k) / k, cdf])
+        u = np.concatenate([marks, np.nextafter(marks, 0), np.nextafter(marks, 1), [0.0, 1 - 2**-53]])
+        u = np.concatenate([u[(u >= 0) & (u < 1)], stream_rng(seed).random(64)])
+        outcomes = qsim.inverse_cdf(p)
+        for v in (u, u[: u.size // 2 * 2].reshape(2, -1), u[:1].reshape(()), u[:0], u[:0].reshape(3, 0)):
+            drawn = outcomes(v)
+            assert drawn.dtype == np.int64 and drawn.shape == v.shape
+            assert np.array_equal(drawn, np.searchsorted(cdf, v, side="right"))
+        assert sample_outcomes(p, 0, stream_rng(seed)).dtype == np.int64
 
     def test_one_inverse_cdf_in_the_package(self):
         # every sampler draws through qsim.inverse_cdf, the one place that pins the CDF's last entry
