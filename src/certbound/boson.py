@@ -123,7 +123,7 @@ class OutcomeSpace(Sequence):
 
     def labels(self) -> list[str]:
         """str() of every outcome, in order, counted from the rows at once rather than one object each."""
-        size, n = self.rows.shape
+        size = len(self.rows)
         cell = (np.arange(size)[:, None] * self.m + self.rows).ravel()
         return _occupation_text(np.bincount(cell, minlength=size * self.m).reshape(size, self.m))
 

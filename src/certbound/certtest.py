@@ -8,12 +8,21 @@ the removed tail, and a deviation term on the removed largest outcome.
 Thresholds are set by parametric calibration under the null (the certifier
 has unlimited computational power, so resampling the target is allowed).
 
-A trial's samples are drawn by inverse CDF from sorted uniforms, so its
-outcome indices come out sorted and its counts are their run lengths; no
-(trials x dim) count matrix is built. The bulk term adds one term per bulk
-outcome, the ones not drawn at count 0, so a trial costs O(samples + bulk
-size). Trials go in chunks of at most _CHUNK_ENTRIES entries per array, or
-one trial at a time where a single trial needs more.
+A trial's samples are drawn by inverse CDF (`qsim.inverse_cdf`, a bucket
+lookup) from sorted uniforms, so its outcome indices come out sorted and its
+counts are their run lengths; no (trials x dim) count matrix is built. The
+bulk term adds one term per bulk outcome, the ones not drawn at count 0, so
+a trial costs O(samples + bulk size).
+
+Trials go in chunks of at most _CHUNK_ENTRIES entries per array, or one
+trial at a time where a single trial needs more. Inside a chunk, the draws
+are made, sorted, looked up and counted in blocks of about _BLOCK_ENTRIES
+samples, small enough to stay in cache, and each block writes its terms
+into the chunk's one (trials x bulk) array. That array is summed once per
+chunk: np.sum adds each row of an F-ordered array of two or more rows left
+to right, but a lone row pairwise, and the statistic's bits depend on that
+order. So a trial alone in its chunk is summed pairwise, as it always was,
+and how the blocks split a chunk changes no bit.
 
 Behavior in the gap region 0 < ||P - Q||_1 <= eps is unspecified and the
 tester may answer either way there.
@@ -136,6 +145,7 @@ class CertificationTester:
             outcome = rows.ravel()[first]
             trial = first // n + row
             at = self._bulk_pos[outcome]
+            # outcomes off the bulk write to the last, scratch column, which the sum leaves out
             flat[at * t + trial] = _bulk_terms(count.astype(np.float64), self._spb[at], self._pb23[at])
             del at
             # integer-valued sums, exact in any order; every row starts a run
@@ -149,7 +159,8 @@ class CertificationTester:
         return np.column_stack([bulk, tail - s * self.tail_weight, mx])
 
     def _draw_components(self, q: ProbVec, rng: np.random.Generator, trials: int) -> np.ndarray:
-        """(trials, 3) components of `trials` i.i.d. sample sets drawn from q, a chunk of trials at a time."""
+        """(trials, 3) components of `trials` i.i.d. sample sets drawn from q, a chunk of trials at a time,
+        each chunk drawn in blocks."""
         s, dim = self.cfg.samples, self.p.dim
         step = max(1, _CHUNK_ENTRIES // max(s, dim))
         block = max(1, _BLOCK_ENTRIES // s)
