@@ -23,7 +23,9 @@ from .errors import InvalidParameterError, ResourceLimitError, MAX_OUTCOMES
 from .qsim import haar_unitary
 from .rng import stream_rng
 
-_CHUNK_ENTRIES = 1 << 16  # subset sums gathered per chunk of the batched Ryser kernel: 1 MB of scratch
+# entries per chunk of the batched kernels (subset sums gathered by the Ryser kernel, occupation
+# numbers counted for labels): 1 MB of scratch
+_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -122,10 +124,15 @@ class OutcomeSpace(Sequence):
         return ModeOccupation(tuple(np.bincount(self.rows[i], minlength=self.m)))
 
     def labels(self) -> list[str]:
-        """str() of every outcome, in order, counted from the rows at once rather than one object each."""
-        size = len(self.rows)
-        cell = (np.arange(size)[:, None] * self.m + self.rows).ravel()
-        return _occupation_text(np.bincount(cell, minlength=size * self.m).reshape(size, self.m))
+        """str() of every outcome, in order, counted from the rows a chunk at a time rather than one
+        object each."""
+        step = max(1, _CHUNK_ENTRIES // self.m)
+        out = []
+        for i in range(0, len(self.rows), step):
+            rows = self.rows[i : i + step]
+            cell = (np.arange(len(rows))[:, None] * self.m + rows).ravel()
+            out += _occupation_text(np.bincount(cell, minlength=len(rows) * self.m).reshape(-1, self.m))
+        return out
 
 
 def enumerate_phi(m: int, n: int, collision_free_only: bool = False) -> list[ModeOccupation]:

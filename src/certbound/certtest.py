@@ -14,15 +14,16 @@ counts are their run lengths; no (trials x dim) count matrix is built. The
 bulk term adds one term per bulk outcome, the ones not drawn at count 0, so
 a trial costs O(samples + bulk size).
 
-Trials go in chunks of at most _CHUNK_ENTRIES entries per array, or one
-trial at a time where a single trial needs more. Inside a chunk, the draws
-are made, sorted, looked up and counted in blocks of about _BLOCK_ENTRIES
-samples, small enough to stay in cache, and each block writes its terms
-into the chunk's one (trials x bulk) array. That array is summed once per
-chunk: np.sum adds each row of an F-ordered array of two or more rows left
-to right, but a lone row pairwise, and the statistic's bits depend on that
-order. So a trial alone in its chunk is summed pairwise, as it always was,
-and how the blocks split a chunk changes no bit.
+Trials are drawn, sorted and looked up in blocks of about _BLOCK_ENTRIES
+samples, small enough to stay in cache, and reduced in chunks of at most
+_CHUNK_ENTRIES entries per array, or one trial at a time where a single
+trial needs more. A block may hold part of a chunk or several chunks; each
+chunk's rows are counted piece by piece into its one (trials x bulk) term
+array, which is summed once. np.sum adds each row of an F-ordered array of
+two or more rows left to right, but a lone row pairwise, and the
+statistic's bits depend on that order. So a trial alone in its chunk is
+summed pairwise, as it always was, and how the blocks split the trials
+changes no bit.
 
 Behavior in the gap region 0 < ||P - Q||_1 <= eps is unspecified and the
 tester may answer either way there.
@@ -45,12 +46,13 @@ from .rng import stream_rng
 
 CALIBRATION_MARGIN = 0.05  # absorbs Monte-Carlo noise on top of the 2/3 target
 
-# Entries of the (trials x samples) draw and of the (trials x bulk) term array
-# per chunk of trials (8 MB per 8-byte array); bounds the tester's peak memory.
+# Entries of a (trials x max(samples, dim)) array per chunk of trials (8 MB per 8-byte array);
+# bounds the (trials x bulk) term array, and decides which trials are summed alone, so the
+# thresholds' bits depend on it.
 _CHUNK_ENTRIES = 1 << 20
 
-# Entries of the (trials x samples) draws per block of trials inside a chunk; a block's draws and
-# their run lengths stay in cache.
+# Entries of the (trials x samples) draws per block of trials; a block's uniforms and outcome
+# indices stay in cache.
 _BLOCK_ENTRIES = 1 << 17
 
 # Largest sample size a tester takes; the complexity search gives up above it.
@@ -159,25 +161,36 @@ class CertificationTester:
         return np.column_stack([bulk, tail - s * self.tail_weight, mx])
 
     def _draw_components(self, q: ProbVec, rng: np.random.Generator, trials: int) -> np.ndarray:
-        """(trials, 3) components of `trials` i.i.d. sample sets drawn from q, a chunk of trials at a time,
-        each chunk drawn in blocks."""
+        """(trials, 3) components of `trials` i.i.d. sample sets drawn from q, a block of trials at a
+        time, and reduced a chunk of trials at a time."""
         s, dim = self.cfg.samples, self.p.dim
         step = max(1, _CHUNK_ENTRIES // max(s, dim))
         block = max(1, _BLOCK_ENTRIES // s)
         outcomes = inverse_cdf(q)
 
-        def draws(t):
-            for start in range(0, t, block):
-                # the same stream as rng.random(t * s); sorting a row only permutes one trial's draws
-                u = rng.random((min(block, t - start), s))
+        def draws():
+            for start in range(0, trials, block):
+                # the same stream as rng.random(trials * s); sorting a row only permutes one trial's draws
+                u = rng.random((min(block, trials - start), s))
                 u.sort(axis=1)
-                yield outcomes(u)
+                rows = outcomes(u)
+                del u
+                yield rows
 
-        parts = []
-        for start in range(0, trials, step):
-            t = min(step, trials - start)
-            parts.append(self._components(draws(t), t))
-        return np.concatenate(parts)
+        blocks, held = draws(), np.empty((0, s), dtype=np.int64)
+
+        def chunk(t):
+            # the next t trials, as pieces of the drawn blocks
+            nonlocal held
+            while t:
+                if not len(held):
+                    held = next(blocks)
+                piece, held = held[:t], held[t:]
+                t -= len(piece)
+                yield piece
+
+        sizes = [min(step, trials - start) for start in range(0, trials, step)]
+        return np.concatenate([self._components(chunk(t), t) for t in sizes])
 
     def _calibrate(self) -> float:
         """Set the per-component centers and scales; return the null quantile threshold."""

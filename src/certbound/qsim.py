@@ -272,8 +272,8 @@ def _apply_two_qubit_gate(psi: np.ndarray, gate: np.ndarray, q: int, n: int) -> 
     return np.ascontiguousarray(psi).reshape(-1)
 
 
-# Steps up that a draw may take from its bucket start before it falls back to a binary search, so a
-# run of zero-probability entries inside one bucket costs no more than the search does.
+# Steps up that a draw may take from its bucket's start before it falls back to a binary search, so
+# a long run of zero-probability entries inside one bucket costs no more than the search does.
 _REFINE = 4
 
 
@@ -285,15 +285,16 @@ def inverse_cdf(p: ProbVec):
     buckets cover [0, 1), and lo[b] = #{cdf <= b/K} is kept as int32 (8 MiB at
     dim 2^20).  u*K is exact for a power-of-two K, so lo[floor(u*K)] is the
     index unless a CDF entry lies in u's bucket; such draws step up while
-    cdf[r] <= u, _REFINE times at most, and the rest take the binary search.
+    cdf[r] <= u, _REFINE steps at most, and the rest take the binary search.
     """
     if not p.normalized:
         raise InvalidParameterError("sampling requires a normalized distribution")
     cdf = np.cumsum(p.entries)
     cdf[-1] = 1.0
     k = 2 << (p.dim - 1).bit_length()
-    # entry j counts in lo from bucket ceil(cdf[j] * k) on, so lo repeats j for the buckets between the
-    # starts of entries j - 1 and j; a cumsum past 1 before the pinned last entry never counts below 1
+    # cdf[j] <= b/k from bucket b = ceil(cdf[j] * k) on, so lo holds j from entry j - 1's first bucket
+    # up to entry j's; an entry above 1 (a cumsum that rounds past 1 before the pinned last entry)
+    # counts in no bucket
     reps = np.minimum(np.ceil(cdf * k), k).astype(np.int64)
     reps[1:] = np.diff(reps)
     lo = np.repeat(np.arange(p.dim, dtype=np.int32), reps)
@@ -302,15 +303,15 @@ def inverse_cdf(p: ProbVec):
         u = np.asarray(u)
         flat = u.reshape(-1)
         r = lo[(flat * k).astype(np.intp)].astype(np.int64)
-        # the draws whose bucket holds a CDF entry <= u step up from there
+        # the draws whose bucket holds a CDF entry <= u step up from the bucket's start
         todo = np.flatnonzero(cdf[r] <= flat)
-        rt, ut = r[todo] + 1, flat[todo]
-        up = cdf[rt] <= ut
+        rt, ut = r[todo], flat[todo]
+        up = np.ones(todo.size, dtype=bool)
         for _ in range(_REFINE):
-            if not up.any():
-                break
             rt += up
             up = cdf[rt] <= ut
+            if not up.any():
+                break
         rt[up] = np.searchsorted(cdf, ut[up], side="right")
         r[todo] = rt
         return r.reshape(u.shape)

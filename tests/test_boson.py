@@ -19,7 +19,8 @@ from certbound import (
     permanent,
     trivial_permanent_bound,
 )
-from certbound.boson import phi_size_bound, submatrix
+from certbound import boson
+from certbound.boson import OutcomeSpace, phi_size_bound, submatrix
 from certbound.errors import InvalidParameterError, ResourceLimitError
 from certbound.rng import stream_rng
 
@@ -76,6 +77,16 @@ class TestEnumeratePhi:
         for m, n in [(4, 2), (5, 3), (7, 2)]:
             assert len(enumerate_phi(m, n)) == math.comb(m + n - 1, n)
             assert len(enumerate_phi(m, n, True)) == math.comb(m, n)
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 7])
+    def test_labels_are_the_outcomes_as_text(self, chunk, monkeypatch):
+        # a chunk of 7 entries splits every space below into chunks of one or a few outcomes
+        monkeypatch.setattr(boson, "_CHUNK_ENTRIES", chunk)
+        for m, n in [(3, 2), (16, 2), (1, 0), (4, 0), (2, 10), (3, 12), (11, 10)]:
+            for free in (False, True):
+                space = OutcomeSpace(m, n, free)
+                assert space.labels() == [str(o) for o in space]
+        assert OutcomeSpace(3, 12).labels()[:3] == ["12,0,0", "11,1,0", "11,0,1"]
 
     def test_n_exceeding_m_collision_free_empty(self):
         assert enumerate_phi(2, 3, collision_free_only=True) == []
