@@ -22,8 +22,7 @@ chunk's rows are counted piece by piece into its one (trials x bulk) term
 array, which is summed once. np.sum adds each row of an F-ordered array of
 two or more rows left to right, but a lone row pairwise, and the
 statistic's bits depend on that order. So a trial alone in its chunk is
-summed pairwise, as it always was, and how the blocks split the trials
-changes no bit.
+summed pairwise, and how the blocks split the trials changes no bit.
 
 Behavior in the gap region 0 < ||P - Q||_1 <= eps is unspecified and the
 tester may answer either way there.

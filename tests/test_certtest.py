@@ -223,7 +223,7 @@ class TestChunkedSampling:
 
     def test_one_row_remainders_match_the_dense_oracle(self, monkeypatch):
         # chunks of 5 trials and blocks of 2: 101 trials end in a chunk of one row, and every chunk of 5
-        # in a block of one row, which must still be summed with the rows of its chunk
+        # takes a one-row piece of a block, which must still be summed with the rest of its chunk
         monkeypatch.setattr(certtest, "_CHUNK_ENTRIES", 5 * 64)
         monkeypatch.setattr(certtest, "_BLOCK_ENTRIES", 2 * 64)
         p = ProbVec(np.random.default_rng(6).dirichlet(np.ones(48)))  # a bulk wide enough to round either way
