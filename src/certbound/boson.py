@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import erfc
 
 from .distvec import ProbVec, _fsum
 from .errors import InvalidParameterError, ResourceLimitError, MAX_OUTCOMES
@@ -234,7 +233,7 @@ def gaussian_concentration_bound(n: int, sigma: float, xi: float) -> float:
         raise InvalidParameterError("xi must be >= 0")
     if sigma <= 0 or n < 1:
         raise InvalidParameterError("need sigma > 0 and n >= 1")
-    e = float(erfc(xi / (math.sqrt(2.0) * sigma)))
+    e = math.erfc(xi / (math.sqrt(2.0) * sigma))
     return 1.0 - (1.0 - e) ** (n * n)
 
 

@@ -316,11 +316,10 @@ def empirical_sample_complexity(
     adversary: ProbVec,
     cfg: TesterConfig,
     trials: int = 300,
-    s_start: int = 8,
     refine_steps: int = 3,
 ) -> int:
-    """Smallest sample size (up to refinement granularity) at which the calibrated
-    test is simultaneously complete (accept rate >= 2/3 on the target) and sound
+    """Smallest sample size (up to refinement granularity), doubling from `cfg.samples`, at which
+    the calibrated test is simultaneously complete (accept rate >= 2/3 on the target) and sound
     (accept rate < 1/3 on the adversary), each estimated from `trials` runs.
     """
     if trials < 300:
@@ -334,7 +333,7 @@ def empirical_sample_complexity(
             return False
         return tester.accept_rate(adversary, trials, stream=2) < 1.0 / 3.0
 
-    s = s_start
+    s = cfg.samples
     while not passes(s):
         s *= 2
         if s > _S_MAX:

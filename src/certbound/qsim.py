@@ -259,8 +259,7 @@ def local_random_circuit_distribution(n: int, depth: int, rng: np.random.Generat
             q = int(rng.integers(0, n - 1))  # acts on neighbors (q, q+1)
             gate = haar_unitary(4, rng)
             psi = _apply_two_qubit_gate(psi, gate, q, n)
-    probs = np.abs(psi) ** 2
-    return ProbVec(probs / probs.sum())
+    return _probabilities([psi])
 
 
 def _apply_two_qubit_gate(psi: np.ndarray, gate: np.ndarray, q: int, n: int) -> np.ndarray:

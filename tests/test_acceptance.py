@@ -230,7 +230,7 @@ def test_11_sample_complexity_scaling():
         adversary = ProbVec(q)
         cfg = TesterConfig(eps=eps, samples=8, seed=1013)
         results.append(
-            empirical_sample_complexity(p, adversary, cfg, trials=300, s_start=8, refine_steps=4)
+            empirical_sample_complexity(p, adversary, cfg, trials=300, refine_steps=4)
         )
     ok = results[0] <= results[1] <= results[2] and results[2] / results[0] >= 2.5
     print(f"\nmeasured sample sizes for d = 16, 64, 256: {results}")

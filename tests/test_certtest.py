@@ -368,8 +368,8 @@ class TestEmpiricalSampleComplexity:
     def test_finds_passing_size(self):
         p = ProbVec.uniform(8)
         q = pairwise_shift_adversary(p, 1.0)
-        cfg = TesterConfig(eps=0.5, samples=10, seed=0, calibration_runs=200)
-        s = empirical_sample_complexity(p, q, cfg, trials=300, s_start=8, refine_steps=2)
+        cfg = TesterConfig(eps=0.5, samples=8, seed=0, calibration_runs=200)
+        s = empirical_sample_complexity(p, q, cfg, trials=300, refine_steps=2)
         assert s >= 8
         # the returned size passes both requirements
         from dataclasses import replace
@@ -380,7 +380,7 @@ class TestEmpiricalSampleComplexity:
 
     def test_bounded_support_independent_of_ambient_dimension(self):
         # support-2 target: measured complexity does not grow with ambient d
-        cfg = TesterConfig(eps=0.5, samples=10, seed=2, calibration_runs=200)
+        cfg = TesterConfig(eps=0.5, samples=4, seed=2, calibration_runs=200)
         results = []
         for d in (4, 64):
             x = np.zeros(d)
@@ -389,5 +389,5 @@ class TestEmpiricalSampleComplexity:
             q_arr = x.copy()
             q_arr[0], q_arr[1] = 0.875, 0.125
             q = ProbVec(q_arr)
-            results.append(empirical_sample_complexity(p, q, cfg, trials=300, s_start=4, refine_steps=2))
+            results.append(empirical_sample_complexity(p, q, cfg, trials=300, refine_steps=2))
         assert results[1] <= 4 * results[0]

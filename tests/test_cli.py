@@ -2,7 +2,10 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -502,3 +505,12 @@ class TestParserGuards:
         assert list(kind.choices) == list(cli._BOUNDS)
         for _, reads in cli._BOUNDS.values():
             assert set(reads) <= set(cli._BOUND_FLAGS)
+
+
+def test_import_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy serves only the tests' oracles
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, certbound, certbound.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
