@@ -217,11 +217,18 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """
     if d < 1:
         raise InvalidParameterError("d must be >= 1")
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    phases = diag / np.abs(diag)
-    return q * phases
+    return _haar_from_ginibre(rng.standard_normal((d, d)), rng.standard_normal((d, d)))
+
+
+def _haar_from_ginibre(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Q of the QR of (re + i im) / sqrt(2), rephased so that R's diagonal is positive.
+
+    re and im may be stacks of d x d matrices; one np.linalg.qr call factors
+    the whole stack, matrix by matrix, so each Q has the bits of its own call.
+    """
+    q, r = np.linalg.qr((re + 1j * im) / math.sqrt(2))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def haar_state_distribution(n: int, rng: np.random.Generator) -> ProbVec:
@@ -244,21 +251,27 @@ def haar_state_distribution(n: int, rng: np.random.Generator) -> ProbVec:
 
 
 def local_random_circuit_distribution(n: int, depth: int, rng: np.random.Generator) -> ProbVec:
-    """Output distribution of `depth` Haar two-qubit gates on random 1-D neighbor pairs."""
+    """Output distribution of `depth` Haar two-qubit gates on random 1-D neighbor pairs.
+
+    Each gate's site and Ginibre matrix are drawn in the order of a gate-by-gate
+    loop over haar_unitary, and the gates are then made by one stacked QR.
+    At n = 1 every gate is a Haar single-qubit unitary and no site is drawn.
+    """
     _check_qubits(n)
     if depth < 0:
         raise InvalidParameterError("depth must be >= 0")
-    dim = 2**n
-    psi = np.zeros(dim, dtype=np.complex128)
+    d = 2 if n == 1 else 4
+    sites = np.zeros(depth, dtype=np.int64)
+    re, im = np.empty((depth, d, d)), np.empty((depth, d, d))
+    for k in range(depth):
+        if n > 1:
+            sites[k] = rng.integers(0, n - 1)  # acts on neighbors (q, q+1)
+        re[k], im[k] = rng.standard_normal((d, d)), rng.standard_normal((d, d))
+    gates = _haar_from_ginibre(re, im)
+    psi = np.zeros(2**n, dtype=np.complex128)
     psi[0] = 1.0
-    if n == 1:
-        for _ in range(depth):
-            psi = haar_unitary(2, rng) @ psi
-    else:
-        for _ in range(depth):
-            q = int(rng.integers(0, n - 1))  # acts on neighbors (q, q+1)
-            gate = haar_unitary(4, rng)
-            psi = _apply_two_qubit_gate(psi, gate, q, n)
+    for gate, q in zip(gates, sites.tolist()):
+        psi = gate @ psi if n == 1 else _apply_two_qubit_gate(psi, gate, q, n)
     return _probabilities([psi])
 
 

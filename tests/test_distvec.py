@@ -1,10 +1,11 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certbound import (
@@ -136,6 +137,97 @@ class TestCompensatedSums:
         # every compensated sum goes through distvec._fsum, which never lists a whole array at once
         src = Path(distvec.__file__).parent
         assert sum(f.read_text().count("math.fsum(") for f in sorted(src.glob("*.py"))) == 1
+
+
+_TINY = 2.0**-1022  # the smallest normal float
+# sizes about the binned kernel's size cut and its chunk size
+_KERNEL_SIZES = [1, 17, distvec._BINNED_MIN - 1, distvec._BINNED_MIN, distvec._BINNED_MIN + 1,
+                 distvec._FSUM_CHUNK - 1, distvec._FSUM_CHUNK, distvec._FSUM_CHUNK + 1, 3 * distvec._FSUM_CHUNK + 5]
+_EDGE_VALUES = np.array([0.0, 5e-324, 2 * 5e-324, np.nextafter(_TINY, 0), _TINY, np.nextafter(_TINY, 1), 2 * _TINY,
+                         2.0**-53, 0.1, 1.0, 1.0 + 2.0**-52, 3.0, 2.0**52, 2.0**900])
+
+
+def _summands(size: int, family: str, mixed_signs: bool, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if family == "binades":  # every exponent from the subnormals up to 2^959
+        x = rng.random(size) * np.exp2(rng.integers(-1074, 960, size)).astype(float)
+    elif family == "subnormal":  # subnormals around the normal edge, with the edge values among them
+        x = rng.integers(0, 1 << 53, size).view(np.float64)
+        x[rng.integers(0, size, min(size, 64))] = rng.choice(_EDGE_VALUES[:7], min(size, 64))
+    elif family == "edges":
+        x = rng.choice(_EDGE_VALUES, size)
+    else:  # near one binade, the probability vectors' case
+        x = rng.random(size) ** 8
+    if mixed_signs:
+        x *= rng.choice([-1.0, 1.0], size)
+    return x
+
+
+def _fsum_bits(x: np.ndarray, p=None) -> bytes:
+    return np.float64(math.fsum((x if p is None else np.power(x, p)).tolist())).tobytes()
+
+
+class TestBinnedSum:
+    """distvec._fsum has the bits of math.fsum over one list, on both of its paths."""
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(_KERNEL_SIZES), st.sampled_from(["binades", "subnormal", "edges", "narrow"]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_fsum_bits(self, size, family, mixed_signs, seed):
+        x = _summands(size, family, mixed_signs, seed)
+        assert np.float64(distvec._fsum(x)).tobytes() == _fsum_bits(x)
+        if not mixed_signs:
+            assert np.float64(distvec._fsum(x, 2 / 3)).tobytes() == _fsum_bits(x, 2 / 3)
+
+    @pytest.mark.parametrize("size", _KERNEL_SIZES)
+    def test_cancelling_sums(self, size):
+        # x and -x cancel exactly, leaving 2^-60 - 2^-1074, zero, or the tie 1 + 2^-53 that rounds to even
+        x = _summands(size, "narrow", False, size)
+        y = np.concatenate([x, -x[::-1], [2.0**-60, -(2.0**-1074)]])
+        for z in (y, y[:-2], np.concatenate([[1.0, 2.0**-53], y[:-2]])):
+            assert np.float64(distvec._fsum(z)).tobytes() == _fsum_bits(z)
+
+    @pytest.mark.parametrize("size", _KERNEL_SIZES)
+    def test_negative_zeros(self, size):
+        # fsum decides the sign of a zero sum; the kernel does not hard-code one
+        x = np.full(size, -0.0)
+        assert np.float64(distvec._fsum(x)).tobytes() == _fsum_bits(x)
+
+    @pytest.mark.parametrize("size", _KERNEL_SIZES)
+    def test_non_finite_follows_fsum(self, size):
+        x = _summands(size, "narrow", False, 1)
+        for special in (math.inf, -math.inf, math.nan):
+            y = x.copy()
+            y[-1] = special
+            assert np.float64(distvec._fsum(y)).tobytes() == _fsum_bits(y)
+        y = np.concatenate([[math.inf], x, [-math.inf]])
+        with pytest.raises(ValueError):
+            math.fsum(y.tolist())
+        with pytest.raises(ValueError):
+            distvec._fsum(y)
+
+    def test_overflow_follows_fsum(self):
+        x = np.full(distvec._BINNED_MIN, 1e308)
+        with pytest.raises(OverflowError):
+            math.fsum(x.tolist())
+        with pytest.raises(OverflowError):
+            distvec._fsum(x)
+        x[x.size // 2 :] = -1e308  # the total is 0, but fsum overflows on the way there
+        with pytest.raises(OverflowError):
+            math.fsum(x.tolist())
+        with pytest.raises(OverflowError):
+            distvec._fsum(x)
+
+    def test_quasinorm_makes_no_whole_array_temporary(self):
+        v = ProbVec(np.random.default_rng(4).dirichlet(np.ones(2**20)))
+        tracemalloc.start()
+        try:
+            lp_quasinorm(v, 2 / 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # np.power of the whole vector alone is 8 MiB; the kernel's three buffers are 1.5 MiB
+        assert peak < 4 * 2**20
 
 
 class TestL1Distance:

@@ -214,6 +214,33 @@ class TestLocalRandomCircuit:
         p = local_random_circuit_distribution(1, 3, stream_rng(16))
         assert p.normalized and p.dim == 2
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 10])
+    @pytest.mark.parametrize("depth", [0, 1, 5, 40])
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_stacked_qr_matches_gate_by_gate_loop(self, n, depth, seed):
+        assert (local_random_circuit_distribution(n, depth, stream_rng(seed)).entries.tobytes()
+                == _per_gate_circuit(n, depth, stream_rng(seed)).entries.tobytes())
+
+
+def _per_gate_haar_unitary(d, rng):
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+def _per_gate_circuit(n, depth, rng):
+    """Oracle: one QR per gate, applied as soon as it is drawn."""
+    psi = np.zeros(2**n, dtype=np.complex128)
+    psi[0] = 1.0
+    for _ in range(depth):
+        if n == 1:
+            psi = _per_gate_haar_unitary(2, rng) @ psi
+        else:
+            q = int(rng.integers(0, n - 1))
+            psi = qsim._apply_two_qubit_gate(psi, _per_gate_haar_unitary(4, rng), q, n)
+    return qsim._probabilities([psi])
+
 
 def _zero_run(lead, mass, run, trail):
     """`lead` zeros, `mass` at one entry, a run of `run` zeros, the rest of the mass, `trail` zeros: the run's
