@@ -305,3 +305,7 @@ class BosonEnsemble:
 
     def instance_distribution(self, i: int) -> ProbVec:
         return boson_distribution(self.instance(i))[0]
+
+    def distributions(self, count: int):
+        """instance_distribution(i) for i = 0 ... count-1, in index order."""
+        return map(self.instance_distribution, range(count))

@@ -2,12 +2,16 @@
 
 An ensemble (qsim.CircuitEnsemble, boson.BosonEnsemble) is an object with
 - `instance_distribution(i) -> ProbVec`, the output distribution of instance i;
+- `distributions(count)`, an iterator over the distributions of instances
+  0 ... count-1 in index order, equal to instance_distribution(i) bit for
+  bit; it may simulate several instances at once, but keeps no reference to
+  a distribution it has yielded;
 - `kind`, its name, and `seed`, the seed that drives it;
 - `sample_space_size`, the number of outcomes of every instance.
 
-Each check sweeps instances 0 ... N-1 once, in index order, and instance i
-always uses RNG stream (seed, i), so estimates are bit-for-bit reproducible
-from the seed alone.
+Each check sweeps instances 0 ... N-1 once, in index order, through
+`distributions`, and instance i always uses RNG stream (seed, i), so
+estimates are bit-for-bit reproducible from the seed alone.
 """
 
 from __future__ import annotations
@@ -25,12 +29,14 @@ def _sweep(ensemble, num_instances: int, stat) -> np.ndarray:
     """stat(distribution of instance i) for i = 0 ... num_instances-1, in index order."""
     if num_instances < 2:
         raise InvalidParameterError("need at least 2 instances")
-    return np.array([stat(ensemble.instance_distribution(i)) for i in range(num_instances)])
+    # map drops each distribution once stat returns; a list comprehension's loop variable would keep
+    # it alive while the next one is built
+    return np.array(list(map(stat, ensemble.distributions(num_instances))))
 
 
 def _collision(p: ProbVec) -> float:
-    """sum_S P(S)^2 (= 2^-H2)."""
-    return _fsum(p.entries**2)
+    """sum_S P(S)^2 (= 2^-H2), with the squares taken chunk by chunk inside the sum."""
+    return _fsum(p.entries, 2.0)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,13 @@
 All distributions are returned as ProbVec over the 2^n computational-basis
 outcomes, indexed by the integer value of the bit string (qubit 0 is the
 most significant bit).
+
+`CircuitEnsemble.distributions(count)` simulates IQP and Haar-state
+instances whose 2^n is below _BATCH_ENTRIES (2^14) in batches of
+_BATCH_ENTRIES >> n: one phase build, one exp, one FWHT and one
+normalization per batch, with every instance drawn from its own stream and
+equal bit for bit to `instance_distribution(i)`.  The single-instance
+functions are the same kernels with one row.
 """
 
 from __future__ import annotations
@@ -105,6 +112,32 @@ class CircuitEnsemble:
             return haar_state_distribution(self.n, rng)
         return local_random_circuit_distribution(self.n, self.depth, rng)
 
+    def distributions(self, count: int):
+        """instance_distribution(i) for i = 0 ... count-1, in index order, with the same bits.
+
+        IQP and Haar-state instances are simulated max(1, _BATCH_ENTRIES >> n)
+        at a time; local random circuits one at a time, as their gate sites
+        differ per instance.  Each batch fills a fresh buffer, so no yielded
+        ProbVec is written again.
+        """
+        if self.kind == "local_random":
+            return map(self.instance_distribution, range(count))
+        return self._batches(count)
+
+    def _batches(self, count: int):
+        size = max(1, _BATCH_ENTRIES >> self.n)
+        for start in range(0, count, size):
+            batch = range(start, min(start + size, count))
+            # each stream is made when its instance draws and dropped after it: a list of the 1 024
+            # streams of a Haar n=4 batch raised that sweep's peak RSS by ~1.8 MB
+            rngs = (stream_rng(self.seed, i) for i in batch)
+            if self.kind == "iqp":
+                rows = _iqp_probabilities([IqpWeights.random(self.n, rng) for rng in rngs])
+            else:
+                rows = _haar_probabilities(self.n, rngs, len(batch))
+            yield from map(ProbVec, rows)
+            del rows  # before the next batch is built
+
 
 def _check_qubits(n: int):
     if n < 1:
@@ -119,18 +152,25 @@ def _check_qubits(n: int):
 # size then depends on allocation order and varied from one run to the next.
 _BLOCK = 1 << 19
 
+# Entries of one batch of small instances in CircuitEnsemble.distributions: its complex buffer is
+# 256 KiB, so a sweep's peak memory does not grow with its instance count.  With 2^19-entry
+# batches the traced peak of an IQP n=10 tail check grew from 8.7 MB at 200 instances to 22 MB at 800.
+_BATCH_ENTRIES = 1 << 14
+
 
 def fwht(a: np.ndarray) -> np.ndarray:
     """Fast Walsh-Hadamard transform (unnormalized), in place on one copy of `a`."""
-    return _fwht_inplace(a.copy())
+    return _fwht_inplace(a.copy(), a.size)
 
 
-def _fwht_inplace(a: np.ndarray) -> np.ndarray:
-    """fwht on `a` itself, with one half-size scratch buffer."""
-    n = a.size
-    diff = np.empty(n // 2, dtype=a.dtype)
+def _fwht_inplace(a: np.ndarray, size: int) -> np.ndarray:
+    """fwht of each `size`-entry segment of `a`, in place, with one half-size scratch buffer.
+
+    The levels stop at h = size, so no butterfly crosses a segment.
+    """
+    diff = np.empty(a.size // 2, dtype=a.dtype)
     h = 1
-    while h < n:
+    while h < size:
         pairs = a.reshape(-1, 2, h)
         top, bot = pairs[:, 0, :], pairs[:, 1, :]
         d = diff.reshape(-1, h)
@@ -141,17 +181,17 @@ def _fwht_inplace(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _fwht_blocks(blocks: list[np.ndarray]) -> None:
-    """fwht, in place, of the concatenation of equal-size power-of-two blocks.
+def _fwht_blocks(blocks: list[np.ndarray], size: int) -> None:
+    """fwht, in place, of each `size`-entry row of the concatenation of equal-size power-of-two blocks.
 
     Levels below the block size run inside each block and the rest pair whole
-    blocks.  Every level adds and subtracts the same pairs as fwht on one
-    array, so the bits are the same.
+    blocks, up to h = size.  Every level adds and subtracts the same pairs as
+    fwht on one row, so the bits are the same.
     """
     for b in blocks:
-        _fwht_inplace(b)
+        _fwht_inplace(b, min(size, b.size))
     h = 1
-    while h < len(blocks):
+    while h * blocks[0].size < size:
         diff = np.empty_like(blocks[0])
         for j in range(0, len(blocks), 2 * h):
             for top, bot in zip(blocks[j : j + h], blocks[j + h : j + 2 * h]):
@@ -176,37 +216,51 @@ def iqp_output_distribution(w: IqpWeights) -> ProbVec:
     calls.
     """
     _check_qubits(w.n)
-    theta = _phases(w)
+    return ProbVec(_iqp_probabilities([w])[0])
+
+
+def _iqp_probabilities(weights: list[IqpWeights]) -> np.ndarray:
+    """The output distribution of each circuit (all of one n), one row each."""
+    theta = _phases(*weights).reshape(-1)
     blocks = [np.exp(1j * theta[i : i + _BLOCK]) for i in range(0, theta.size, _BLOCK)]
     del theta
-    _fwht_blocks(blocks)
+    _fwht_blocks(blocks, 2 ** weights[0].n)
     # the 1/2^n amplitude scale is a power of two, so dropping it before normalizing is exact
-    return _probabilities(blocks)
+    return _row_probabilities(blocks, len(weights))
 
 
-def _phases(w: IqpWeights) -> np.ndarray:
-    """theta(x) for every x, built by doubling (see iqp_output_distribution)."""
-    rev = w.w[::-1, ::-1]  # row/column i is qubit n - 1 - i
-    theta = np.zeros(1)
-    acc = np.diag(rev)[:, None]
-    for i in range(w.n):
-        a, acc = acc[0], acc[1:]
-        theta = np.concatenate((theta + a, theta - a))
-        col = rev[i + 1 :, i, None]
-        acc = np.concatenate((acc + col, acc - col), axis=1)
+def _phases(*weights: IqpWeights) -> np.ndarray:
+    """theta(x) for every x, one row per circuit (all of one n), built by doubling (see iqp_output_distribution)."""
+    rev = np.stack([w.w for w in weights])[:, ::-1, ::-1]  # row/column i is qubit n - 1 - i
+    theta = np.zeros((len(weights), 1))
+    acc = np.diagonal(rev, axis1=1, axis2=2)[:, :, None]
+    for i in range(rev.shape[1]):
+        a, acc = acc[:, 0], acc[:, 1:]
+        theta = np.concatenate((theta + a, theta - a), axis=1)
+        col = rev[:, i + 1 :, i, None]
+        acc = np.concatenate((acc + col, acc - col), axis=2)
     return theta
 
 
 def _probabilities(blocks: list[np.ndarray]) -> ProbVec:
     """|a|^2 / sum |a|^2 for the amplitude vector a that the complex blocks concatenate to."""
+    return ProbVec(_row_probabilities(blocks, 1)[0])
+
+
+def _row_probabilities(blocks: list[np.ndarray], rows: int) -> np.ndarray:
+    """|a|^2 / sum |a|^2 for each of `rows` equal rows a of the amplitudes that the complex blocks concatenate to.
+
+    Each row is divided by its own sum, which has the bits of np.sum on that row alone.
+    """
     probs = np.empty(sum(b.size for b in blocks))
     i = 0
     for b in blocks:
         np.abs(b, out=probs[i : i + b.size])
         i += b.size
     np.square(probs, out=probs)
-    probs /= probs.sum()
-    return ProbVec(probs)
+    probs = probs.reshape(rows, -1)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -238,16 +292,25 @@ def haar_state_distribution(n: int, rng: np.random.Generator) -> ProbVec:
     same distribution as the first column of a Haar unitary.
     """
     _check_qubits(n)
-    dim = 2**n
-    re, im = rng.standard_normal(dim), rng.standard_normal(dim)
+    return ProbVec(_haar_probabilities(n, [rng], 1)[0])
+
+
+def _haar_probabilities(n: int, rngs, rows: int) -> np.ndarray:
+    """haar_state_distribution(n, rng) for each of the `rows` streams that `rngs` yields, one row each."""
+    re, im = np.empty((rows, 2**n)), np.empty((rows, 2**n))
+    # indexed, not zipped: a row view left in a loop variable would keep re and im alive past their del
+    for j, rng in enumerate(rngs):
+        rng.standard_normal(out=re[j])
+        rng.standard_normal(out=im[j])
+    re, im = re.reshape(-1), im.reshape(-1)
     blocks = []
-    for i in range(0, dim, _BLOCK):
+    for i in range(0, re.size, _BLOCK):
         # re + 1j * im, but for the sign of a zero real part, which abs drops
-        z = np.empty(min(dim, _BLOCK), dtype=complex)
+        z = np.empty(min(re.size - i, _BLOCK), dtype=complex)
         z.real, z.imag = re[i : i + _BLOCK], im[i : i + _BLOCK]
         blocks.append(z)
     del re, im
-    return _probabilities(blocks)
+    return _row_probabilities(blocks, rows)
 
 
 def local_random_circuit_distribution(n: int, depth: int, rng: np.random.Generator) -> ProbVec:

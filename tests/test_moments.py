@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import weakref
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -17,29 +19,87 @@ from certbound.errors import InvalidParameterError
 from certbound.moments import MomentEstimate
 
 
+def mapped_ensemble(dim: int, instance_distribution):
+    """An ensemble of `dim` outcomes whose distributions(count) maps instance_distribution over 0 ... count-1."""
+    return SimpleNamespace(
+        kind="fixed",
+        seed=0,
+        sample_space_size=dim,
+        instance_distribution=instance_distribution,
+        distributions=lambda count: map(instance_distribution, range(count)),
+    )
+
+
 def fixed_ensemble(p: ProbVec):
-    return SimpleNamespace(kind="fixed", seed=0, sample_space_size=p.dim, instance_distribution=lambda i: p)
+    return mapped_ensemble(p.dim, lambda i: p)
 
 
 def recording_ensemble(p: ProbVec, calls: list):
     """fixed_ensemble(p) that appends each index it is asked for to `calls`."""
-    return SimpleNamespace(
-        kind="fixed", seed=0, sample_space_size=p.dim, instance_distribution=lambda i: calls.append(i) or p
-    )
+    return mapped_ensemble(p.dim, lambda i: calls.append(i) or p)
 
 
-@pytest.mark.parametrize(
-    "check",
-    [
-        lambda e: estimate_second_moments(e, 5),
-        lambda e: min_entropy_tail_check(e, delta=0.5, num_instances=5),
-        lambda e: anti_concentration_check(e, alpha=0.5, num_instances=5),
-    ],
-)
+CHECKS = [
+    lambda e: estimate_second_moments(e, 5),
+    lambda e: min_entropy_tail_check(e, delta=0.5, num_instances=5),
+    lambda e: anti_concentration_check(e, alpha=0.5, num_instances=5),
+]
+
+
+@pytest.mark.parametrize("check", CHECKS)
 def test_each_check_sweeps_every_instance_once_in_index_order(check):
     calls = []
     check(recording_ensemble(ProbVec(np.array([0.5, 0.3, 0.2])), calls))
     assert calls == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_each_check_releases_instance_before_building_the_next(check):
+    built, kept = [], []
+
+    def instance_distribution(i):
+        if built and built[-1]() is not None:
+            kept.append(i - 1)
+        p = ProbVec.uniform(4)
+        built.append(weakref.ref(p))
+        return p
+
+    check(mapped_ensemble(4, instance_distribution))
+    assert len(built) == 5 and kept == []
+
+
+@pytest.mark.parametrize(
+    "ensemble",
+    [
+        CircuitEnsemble(kind="iqp", n=3, seed=1),
+        CircuitEnsemble(kind="haar_state", n=3, seed=1),
+        CircuitEnsemble(kind="local_random", n=3, seed=1, depth=4),
+        BosonEnsemble(2, 4, seed=1),
+    ],
+    ids=lambda e: e.kind,
+)
+def test_distributions_keep_no_yielded_instance(ensemble):
+    it = ensemble.distributions(3)
+    p = next(it)
+    ref = weakref.ref(p)
+    del p
+    assert ref() is None
+    assert len(list(it)) == 2
+
+
+def test_tail_check_peak_memory_does_not_grow_with_instances():
+    # instances are simulated in fixed-size batches, so only the list of per-instance results grows:
+    # less than one batch's 256 KiB complex buffer from 200 to 800 instances
+    def traced_peak(num_instances):
+        tracemalloc.start()
+        try:
+            min_entropy_tail_check(CircuitEnsemble(kind="iqp", n=10, seed=3), delta=0.2, num_instances=num_instances)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(20)  # lazy set-up outside the measured calls
+    assert traced_peak(800) - traced_peak(200) < 2**18
 
 
 class TestEstimateSecondMoments:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.linalg import expm
 from scipy.stats import kstest
 
 from certbound import (
+    BosonEnsemble,
     CircuitEnsemble,
     IqpWeights,
     ProbVec,
@@ -193,6 +195,26 @@ class TestHaarStateDistribution:
         assert abs(draws.mean() - 1.0 / 3.0) < 4 * se
 
 
+@pytest.mark.parametrize(
+    "simulate, per_entry",
+    [
+        (lambda n: haar_state_distribution(n, stream_rng(2)), 32),  # re and im, then the complex amplitudes
+        (lambda n: iqp_output_distribution(IqpWeights.random(n, stream_rng(1))), 40),  # theta, 1j * theta, its exp
+    ],
+    ids=["haar", "iqp"],
+)
+def test_single_instance_peak_memory(simulate, per_entry):
+    n = 16
+    simulate(n)
+    tracemalloc.start()
+    try:
+        simulate(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (per_entry + 1) * 2**n
+
+
 class TestLocalRandomCircuit:
     def test_depth_zero_point_mass(self):
         p = local_random_circuit_distribution(4, 0, stream_rng(14))
@@ -335,3 +357,18 @@ class TestCircuitEnsemble:
 
     def test_sample_space_size(self):
         assert CircuitEnsemble(kind="iqp", n=6, seed=0).sample_space_size == 64
+
+    @pytest.mark.parametrize(
+        "ensemble",
+        [CircuitEnsemble(kind="iqp", n=n, seed=21) for n in (1, 2, 3, 4, 5, 6)]
+        + [CircuitEnsemble(kind="haar_state", n=n, seed=22) for n in (1, 3, 5, 6)]
+        + [CircuitEnsemble(kind="local_random", n=n, seed=23, depth=4) for n in (1, 3)]
+        + [BosonEnsemble(2, 4, seed=24)],
+        ids=lambda e: f"{e.kind}-{e.n}",
+    )
+    def test_distributions_have_the_bits_of_instance_distribution(self, ensemble, monkeypatch):
+        # batches of 32 entries: 16, 8 and 4 instances at n = 1, 2, 3, one at n >= 5, and 37 leaves a partial last batch
+        monkeypatch.setattr(qsim, "_BATCH_ENTRIES", 2**5)
+        batched = list(ensemble.distributions(37))  # all kept, so a reused buffer would show
+        single = [ensemble.instance_distribution(i) for i in range(37)]
+        assert [p.entries.tobytes() for p in batched] == [p.entries.tobytes() for p in single]
