@@ -11,18 +11,17 @@ has unlimited computational power, so resampling the target is allowed).
 A trial's samples are drawn by inverse CDF (`qsim.inverse_cdf`, a bucket
 lookup) from sorted uniforms, so its outcome indices come out sorted and its
 counts are their run lengths; no (trials x dim) count matrix is built. The
-bulk term adds one term per bulk outcome, the ones not drawn at count 0, so
-a trial costs O(samples + bulk size).
+bulk term is written as ((x - s p)^2 - x) / p^(2/3) =
+(s p)^2 / p^(2/3) + x (x - 1 - 2 s p) p^(-2/3): one per-tester constant B,
+the sum of the count-0 terms, plus a change term for each distinct outcome a
+trial drew, which is 0 off the bulk. So a trial costs O(samples), whatever
+the bulk size.
 
-Trials are drawn, sorted and looked up in blocks of about _BLOCK_ENTRIES
-samples, small enough to stay in cache, and reduced in chunks of at most
-_CHUNK_ENTRIES entries per array, or one trial at a time where a single
-trial needs more. A block may hold part of a chunk or several chunks; each
-chunk's rows are counted piece by piece into its one (trials x bulk) term
-array, which is summed once. np.sum adds each row of an F-ordered array of
-two or more rows left to right, but a lone row pairwise, and the
-statistic's bits depend on that order. So a trial alone in its chunk is
-summed pairwise, and how the blocks split the trials changes no bit.
+Trials are drawn, sorted, looked up and scored in blocks of about
+_BLOCK_ENTRIES samples, small enough to stay in cache. Each trial's change
+terms are summed in ascending outcome order as one np.add.reduceat segment
+and added to B, so no bit of a statistic depends on how the blocks split
+the trials.
 
 Behavior in the gap region 0 < ||P - Q||_1 <= eps is unspecified and the
 tester may answer either way there.
@@ -45,16 +44,12 @@ from .rng import stream_rng
 
 CALIBRATION_MARGIN = 0.05  # absorbs Monte-Carlo noise on top of the 2/3 target
 
-# Entries of a (trials x max(samples, dim)) array per chunk of trials (8 MB per 8-byte array);
-# bounds the (trials x bulk) term array, and decides which trials are summed alone, so the
-# thresholds' bits depend on it.
-_CHUNK_ENTRIES = 1 << 20
-
 # Entries of the (trials x samples) draws per block of trials; a block's uniforms and outcome
 # indices stay in cache.
 _BLOCK_ENTRIES = 1 << 17
 
-# Largest sample size a tester takes; the complexity search gives up above it.
+# Largest sample size a tester takes (the complexity search gives up above it), and most
+# calibration runs or Monte-Carlo trials it draws.
 _S_MAX = 1 << 20
 
 
@@ -76,6 +71,8 @@ class TesterConfig:
             raise ResourceLimitError(f"samples must be <= {_S_MAX}")
         if self.calibration_runs < 100:
             raise InvalidParameterError("calibration_runs must be >= 100")
+        if self.calibration_runs > _S_MAX:
+            raise ResourceLimitError(f"calibration_runs must be <= {_S_MAX}")
 
 
 @dataclass(frozen=True)
@@ -106,90 +103,54 @@ class CertificationTester:
         self._in_tail[self.bulk] = False
         self._in_tail[self.max_index] = False
         self.tail_weight = float(p.entries[self._in_tail].sum())
-        # per-bulk-outcome constants of the statistic and each outcome's bulk position, with one more
-        # (scratch) position, at constants that give finite terms, for every outcome off the bulk
-        nb = self.bulk.size
-        pb = p.entries[self.bulk]
-        self._spb = np.append(float(cfg.samples) * pb, 0.0)
-        self._pb23 = np.append(pb ** (2.0 / 3.0), 1.0)
-        self._zero_terms = _bulk_terms(0.0, self._spb, self._pb23)
-        self._bulk_pos = np.full(p.dim, nb, dtype=np.int64)
-        self._bulk_pos[self.bulk] = np.arange(nb)
+        # the bulk term's weight p^(-2/3) per outcome, 0 off the bulk, and its value B at count 0
+        self._w = np.zeros(p.dim)
+        self._w[self.bulk] = p.entries[self.bulk] ** (-2.0 / 3.0)
+        self._b = np.sum((cfg.samples * p.entries[self.bulk]) ** 2 * self._w[self.bulk])
         self.threshold = self._calibrate()
 
     # -- statistics ------------------------------------------------------
 
-    def _components(self, blocks, t: int) -> np.ndarray:
-        """Raw (t, 3) statistic components of t trials, from an iterable of (trials, samples) blocks of
-        outcome indices that hold the t trials in order, each row sorted."""
+    def _components(self, rows: np.ndarray) -> np.ndarray:
+        """Raw (trials, 3) statistic components of a (trials, samples) block of outcome indices, each
+        row sorted."""
+        n = rows.shape[1]
         s = float(self.cfg.samples)
         p = self.p.entries
-        # every bulk outcome adds a term, the ones not drawn at count 0. np.sum adds each row of an
-        # F-ordered (t > 1, n) array left to right and a C-ordered one pairwise; the thresholds and
-        # verdicts depend on that order to the last bit, and tests pin them, so keep F order and sum
-        # all t rows at once, however the blocks split them
-        terms = np.empty((t, self._zero_terms.size), order="F")
-        terms[:] = self._zero_terms
-        flat = terms.reshape(-1, order="F")  # flat[at * t + trial] is terms[trial, at]
-        tail = np.empty(t, dtype=np.int64)
-        x_max = np.zeros(t)
-        row = 0
-        for rows in blocks:
-            b, n = rows.shape
-            # run lengths of the sorted rows give each (trial, outcome) pair that occurs, with its count
-            new = np.empty((b, n), dtype=bool)
-            new[:, 0] = True
-            np.not_equal(rows[:, 1:], rows[:, :-1], out=new[:, 1:])
-            first = np.flatnonzero(new)
-            del new
-            count = np.diff(first, append=rows.size)
-            outcome = rows.ravel()[first]
-            trial = first // n + row
-            at = self._bulk_pos[outcome]
-            # outcomes off the bulk write to the last, scratch column, which the sum leaves out
-            flat[at * t + trial] = _bulk_terms(count.astype(np.float64), self._spb[at], self._pb23[at])
-            del at
-            # integer-valued sums, exact in any order; every row starts a run
-            starts = np.searchsorted(first, np.arange(0, rows.size, n))
-            tail[row : row + b] = np.add.reduceat(count * self._in_tail[outcome], starts)
-            at_max = outcome == self.max_index
-            x_max[trial[at_max]] = count[at_max]
-            row += b
-        bulk = np.sum(terms[:, :-1], axis=1)
+        # run lengths of the sorted rows give each (trial, outcome) pair that occurs, with its count
+        new = np.empty(rows.shape, dtype=bool)
+        new[:, 0] = True
+        np.not_equal(rows[:, 1:], rows[:, :-1], out=new[:, 1:])
+        first = np.flatnonzero(new)
+        del new
+        count = np.diff(first, append=rows.size)
+        outcome = rows.ravel()[first]
+        # every row starts a run, so a trial's runs are one reduceat segment
+        starts = np.searchsorted(first, np.arange(0, rows.size, n))
+        x = count.astype(np.float64)
+        change = x * (x - (1.0 + 2.0 * s * p[outcome])) * self._w[outcome]
+        bulk = self._b + np.add.reduceat(change, starts)
+        # integer-valued sums, exact in any order
+        tail = np.add.reduceat(count * self._in_tail[outcome], starts)
+        x_max = np.zeros(rows.shape[0])
+        at_max = outcome == self.max_index
+        x_max[first[at_max] // n] = count[at_max]
         mx = np.abs(x_max - s * p[self.max_index])
         return np.column_stack([bulk, tail - s * self.tail_weight, mx])
 
     def _draw_components(self, q: ProbVec, rng: np.random.Generator, trials: int) -> np.ndarray:
         """(trials, 3) components of `trials` i.i.d. sample sets drawn from q, a block of trials at a
-        time, and reduced a chunk of trials at a time."""
-        s, dim = self.cfg.samples, self.p.dim
-        step = max(1, _CHUNK_ENTRIES // max(s, dim))
+        time."""
+        s = self.cfg.samples
         block = max(1, _BLOCK_ENTRIES // s)
         outcomes = inverse_cdf(q)
-
-        def draws():
-            for start in range(0, trials, block):
-                # the same stream as rng.random(trials * s); sorting a row only permutes one trial's draws
-                u = rng.random((min(block, trials - start), s))
-                u.sort(axis=1)
-                rows = outcomes(u)
-                del u
-                yield rows
-
-        blocks, held = draws(), np.empty((0, s), dtype=np.int64)
-
-        def chunk(t):
-            # the next t trials, as pieces of the drawn blocks
-            nonlocal held
-            while t:
-                if not len(held):
-                    held = next(blocks)
-                piece, held = held[:t], held[t:]
-                t -= len(piece)
-                yield piece
-
-        sizes = [min(step, trials - start) for start in range(0, trials, step)]
-        return np.concatenate([self._components(chunk(t), t) for t in sizes])
+        parts = []
+        for start in range(0, trials, block):
+            # the same stream as rng.random(trials * s); sorting a row only permutes one trial's draws
+            u = rng.random((min(block, trials - start), s))
+            u.sort(axis=1)
+            parts.append(self._components(outcomes(u)))
+        return np.concatenate(parts)
 
     def _calibrate(self) -> float:
         """Set the per-component centers and scales; return the null quantile threshold."""
@@ -214,7 +175,7 @@ class CertificationTester:
             raise InvalidParameterError("sample index out of range")
         if samples.size != self.cfg.samples:
             raise InvalidParameterError("sample count does not match the calibrated size")
-        return float(self._combined(self._components([np.sort(samples.astype(np.int64))[None, :]], 1))[0])
+        return float(self._combined(self._components(np.sort(samples.astype(np.int64))[None, :]))[0])
 
     def test(self, samples) -> TestVerdict:
         stat = self.statistic(samples)
@@ -228,13 +189,10 @@ class CertificationTester:
             raise InvalidParameterError("dimension mismatch")
         if trials < 1:
             raise InvalidParameterError("trials must be >= 1")
+        if trials > _S_MAX:
+            raise ResourceLimitError(f"trials must be <= {_S_MAX}")
         rng = stream_rng(self.cfg.seed, 0x7E57, stream)
         return float(np.mean(self._combined(self._draw_components(q, rng, trials)) <= self.threshold))
-
-
-def _bulk_terms(x, spb, pb23):
-    """Bulk terms ((x - s p)^2 - x) / p^(2/3) of counts x at outcomes with s p = spb and p^(2/3) = pb23."""
-    return ((x - spb) ** 2 - x) / pb23
 
 
 # -- adversary library ----------------------------------------------------
@@ -324,6 +282,8 @@ def empirical_sample_complexity(
     """
     if trials < 300:
         raise InvalidParameterError("need at least 300 trials per point")
+    if trials > _S_MAX:
+        raise ResourceLimitError(f"trials must be <= {_S_MAX}")
     if l1_distance(p, adversary) <= cfg.eps:
         raise InvalidParameterError("adversary not eps-far from the target")
 

@@ -249,7 +249,8 @@ def cmd_bs_tail(args):
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Prepend key=value pairs from --config FILE as --key value flags (flags win)."""
+    """Prepend key=value pairs from --config FILE as --key value flags (flags win); `key = true` gives
+    the bare flag --key and `key = false` gives nothing."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -263,7 +264,9 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         if not line:
             continue
         key, _, value = line.partition("=")
-        injected += [f"--{key.strip().replace('_', '-')}", value.strip().strip('"')]
+        flag, value = f"--{key.strip().replace('_', '-')}", value.strip().strip('"')
+        if value != "false":
+            injected += [flag] if value == "true" else [flag, value]
     # subcommand (and any positionals) stay in front; injected defaults before
     # explicit flags so that explicit flags override them
     head = rest[:1]

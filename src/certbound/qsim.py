@@ -98,6 +98,8 @@ class CircuitEnsemble:
         _check_qubits(self.n)
         if self.depth < 0:
             raise InvalidParameterError("depth must be >= 0")
+        if self.depth and self.kind != "local_random":
+            raise InvalidParameterError("depth applies to the local_random kind only")
 
     @property
     def sample_space_size(self) -> int:

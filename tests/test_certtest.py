@@ -43,6 +43,25 @@ class TestTesterConfig:
         with pytest.raises(ResourceLimitError, match="samples"):
             TesterConfig(eps=0.5, samples=certtest._S_MAX + 1)
 
+    def test_monte_carlo_caps(self, monkeypatch):
+        # above the cap, each size is refused before a sample set is drawn, so no large run happens here
+        cap = certtest._S_MAX
+        assert TesterConfig(eps=0.5, samples=10, calibration_runs=cap).calibration_runs == cap
+        with pytest.raises(ResourceLimitError, match="calibration_runs"):
+            TesterConfig(eps=0.5, samples=10, calibration_runs=cap + 1)
+        p = ProbVec.uniform(8)
+        tester = CertificationTester(p, TesterConfig(eps=0.5, samples=10))
+
+        def no_draws(*args):
+            raise AssertionError("drew sample sets")
+
+        monkeypatch.setattr(CertificationTester, "_draw_components", no_draws)
+        with pytest.raises(ResourceLimitError, match="trials"):
+            tester.accept_rate(p, cap + 1, stream=1)
+        q = pairwise_shift_adversary(p, 1.0)
+        with pytest.raises(ResourceLimitError, match="trials"):
+            empirical_sample_complexity(p, q, TesterConfig(eps=0.5, samples=10), trials=cap + 1)
+
 
 class TestCalibration:
     def test_threshold_reproducible(self):
@@ -117,7 +136,8 @@ class TestIdentityTest:
 
 
 def dense_oracle(tester, counts):
-    """Reference: the statistic components of a dense (trials, dim) count matrix, summed as the gather leaves them."""
+    """Reference: the statistic components of a dense (trials, dim) count matrix, with one bulk term per bulk
+    outcome, as in the definition."""
     mask = np.ones(tester.p.dim, dtype=bool)
     mask[tester.bulk] = False
     mask[tester.max_index] = False
@@ -135,29 +155,53 @@ def dense_oracle(tester, counts):
     return np.column_stack([bulk, tail, mx])
 
 
-def dense_components(tester, q, rng, trials, step=None):
-    """Reference: per chunk of `step` trials (all at once by default), one (step, samples) inverse-CDF
-    draw and one dense (step, dim) count matrix.
+def change_oracle(tester, counts):
+    """Reference: the statistic components of a dense (trials, dim) count matrix in the tester's summation
+    order, and the scale |B| + sum |v| of each trial's bulk sum.
 
-    np.sum adds a (1, n) row pairwise and the rows of a (t > 1, n) gather left to right, so a trial
-    drawn alone, as in a chunk of one, has its bulk sum rounded differently.
+    Each trial's bulk component is B, the sum of the count-0 bulk terms, plus the change terms
+    v = x (x - c) w over the outcomes the trial drew, in ascending index order, with c = 1 + 2 s p, and
+    w = p^(-2/3) on the bulk and 0 off it.
     """
-    s = tester.cfg.samples
-    step = step or trials
+    counts = np.atleast_2d(counts)
+    s = float(tester.cfg.samples)
+    p = tester.p.entries
+    w = np.zeros(tester.p.dim)
+    w[tester.bulk] = p[tester.bulk] ** (-2.0 / 3.0)
+    b = np.sum((s * p[tester.bulk]) ** 2 * w[tester.bulk])
+    bulk, scale = np.empty(len(counts)), np.empty(len(counts))
+    for i, row in enumerate(counts):
+        drawn = np.flatnonzero(row)
+        x = row[drawn].astype(np.float64)
+        v = x * (x - (1.0 + 2.0 * s * p[drawn])) * w[drawn]
+        bulk[i] = b + np.add.reduceat(v, [0])[0]
+        scale[i] = abs(b) + np.sum(np.abs(v))
+    comps = dense_oracle(tester, counts)
+    comps[:, 0] = bulk
+    return comps, scale
+
+
+def draw_counts(q, rng, trials, samples):
+    """Reference: one (trials, samples) inverse-CDF draw by binary search, counted into a (trials, dim) matrix."""
     cdf = np.cumsum(q.entries)
     cdf[-1] = 1.0
-    parts = []
-    for start in range(0, trials, step):
-        idx = np.searchsorted(cdf, rng.random((min(step, trials - start), s)), side="right")
-        counts = np.stack([np.bincount(row, minlength=q.dim) for row in idx])
-        parts.append(dense_oracle(tester, counts))
-    return np.concatenate(parts)
+    idx = np.searchsorted(cdf, rng.random((trials, samples)), side="right")
+    return np.stack([np.bincount(row, minlength=q.dim) for row in idx])
 
 
-def dense_calibration(tester, step=None):
-    """Reference: centers, scales and threshold from the dense components of the calibration draw."""
+def oracle_components(tester, q, rng, trials):
+    """Reference: the change oracle's components of `trials` sample sets drawn from q, checked against the
+    dense oracle's to within rounding."""
+    counts = draw_counts(q, rng, trials, tester.cfg.samples)
+    comps, scale = change_oracle(tester, counts)
+    assert np.all(np.abs(comps[:, 0] - dense_oracle(tester, counts)[:, 0]) <= 1e-12 * scale)
+    return comps
+
+
+def oracle_calibration(tester):
+    """Reference: centers, scales and threshold from the oracle components of the calibration draw."""
     cfg = tester.cfg
-    comps = dense_components(tester, tester.p, stream_rng(cfg.seed, 0xCA11B), cfg.calibration_runs, step)
+    comps = oracle_components(tester, tester.p, stream_rng(cfg.seed, 0xCA11B), cfg.calibration_runs)
     centers = np.median(comps, axis=0)
     hi = np.quantile(comps, 0.9, axis=0)
     scales = np.where(hi > centers, hi - centers, 1.0)
@@ -165,9 +209,23 @@ def dense_calibration(tester, step=None):
     return centers, scales, float(np.quantile(combined, 2.0 / 3.0 + CALIBRATION_MARGIN))
 
 
+def oracle_rate(tester, q, stream, trials, calibration):
+    """Reference: accept_rate(q, trials, stream) from the oracle components."""
+    centers, scales, threshold = calibration
+    comps = oracle_components(tester, q, stream_rng(tester.cfg.seed, 0x7E57, stream), trials)
+    return float(np.mean(np.max((comps - centers) / scales, axis=1) <= threshold))
+
+
+def assert_calibration_bits(tester, calibration):
+    centers, scales, threshold = calibration
+    assert tester._centers.tobytes() == centers.tobytes()
+    assert tester._scales.tobytes() == scales.tobytes()
+    assert np.float64(tester.threshold).tobytes() == np.float64(threshold).tobytes()
+
+
 point_masses = st.integers(1, 12).flatmap(lambda d: st.integers(0, d - 1).map(lambda i: ProbVec.point_mass(d, i).entries))
 
-# bulks of 8 entries and more, where np.sum's pairwise and left-to-right orders round differently
+# bulks of 8 entries and more, where pairwise and left-to-right sums round differently
 wide_targets = (
     st.lists(st.one_of(st.just(0.0), st.sampled_from([0.01, 0.1, 0.25]), st.floats(0.01, 1.0)), min_size=24, max_size=300)
     .map(np.array)
@@ -178,61 +236,70 @@ wide_targets = (
 
 class TestChunkedSampling:
     def test_chunks_match_one_dense_matrix(self, monkeypatch):
-        # 7 trials per chunk; neither 103 calibration runs nor 101 trials is a multiple of 7
-        monkeypatch.setattr(certtest, "_CHUNK_ENTRIES", 7 * 64)
+        # 7 trials per block; neither 103 calibration runs nor 101 trials is a multiple of 7
+        monkeypatch.setattr(certtest, "_BLOCK_ENTRIES", 7 * 64)
         p = ProbVec(np.random.default_rng(4).dirichlet(np.ones(16)))
         q = pairwise_shift_adversary(p, 0.6)
-        cfg = TesterConfig(eps=0.5, samples=64, calibration_runs=103, seed=8)
-        tester = CertificationTester(p, cfg)
-
-        centers, scales, threshold = dense_calibration(tester)
-        assert np.array_equal(tester._centers, centers) and np.array_equal(tester._scales, scales)
-        assert tester.threshold == threshold
-
+        tester = CertificationTester(p, TesterConfig(eps=0.5, samples=64, calibration_runs=103, seed=8))
+        calibration = oracle_calibration(tester)
+        assert_calibration_bits(tester, calibration)
         for dist, stream in ((p, 1), (q, 2)):
-            comps = dense_components(tester, dist, stream_rng(cfg.seed, 0x7E57, stream), 101)
-            rate = float(np.mean(np.max((comps - centers) / scales, axis=1) <= threshold))
-            assert tester.accept_rate(dist, 101, stream=stream) == rate
+            rate = tester.accept_rate(dist, 101, stream=stream)
+            assert np.float64(rate).tobytes() == np.float64(oracle_rate(tester, dist, stream, 101, calibration)).tobytes()
 
     @given(
         st.one_of(normalized_targets, wide_targets, point_masses),
         st.integers(1, 300),
-        st.integers(1, 4),
+        st.sampled_from([1, 2, 3, None]),
         st.integers(0, 2**16),
     )
-    def test_bit_identical_to_the_dense_oracle(self, x, samples, per_chunk, seed):
-        # per_chunk 1 draws one trial per chunk; 2-4 draw several, and the chunk count leaves a remainder
+    def test_bit_identical_to_the_dense_oracle(self, x, samples, per_block, seed):
+        # blocks of 1-3 trials leave a remainder of 101 and 37 trials; None keeps the default block
         p = ProbVec(x)
         q = ProbVec(np.roll(x, 1))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(certtest, "_CHUNK_ENTRIES", per_chunk * max(samples, p.dim))
+            if per_block:
+                mp.setattr(certtest, "_BLOCK_ENTRIES", per_block * samples)
             tester = CertificationTester(p, TesterConfig(eps=0.5, samples=samples, calibration_runs=101, seed=seed))
             comps = tester._draw_components(p, stream_rng(seed, 0xCA11B), 101)
-            assert comps.tobytes() == dense_components(tester, p, stream_rng(seed, 0xCA11B), 101, per_chunk).tobytes()
-            centers, scales, threshold = dense_calibration(tester, per_chunk)
-            assert tester._centers.tobytes() == centers.tobytes()
-            assert tester._scales.tobytes() == scales.tobytes()
-            assert tester.threshold == threshold
+            assert comps.tobytes() == oracle_components(tester, p, stream_rng(seed, 0xCA11B), 101).tobytes()
+            calibration = oracle_calibration(tester)
+            assert_calibration_bits(tester, calibration)
             for dist, stream in ((p, 1), (q, 2)):
-                comps = dense_components(tester, dist, stream_rng(seed, 0x7E57, stream), 37, per_chunk)
-                rate = float(np.mean(np.max((comps - centers) / scales, axis=1) <= threshold))
-                assert tester.accept_rate(dist, 37, stream=stream) == rate
+                rate = tester.accept_rate(dist, 37, stream=stream)
+                assert np.float64(rate).tobytes() == np.float64(oracle_rate(tester, dist, stream, 37, calibration)).tobytes()
         drawn = sample_outcomes(q, samples, stream_rng(seed, 3))
-        comps = dense_oracle(tester, np.bincount(drawn, minlength=p.dim))
-        assert tester.statistic(drawn) == float(np.max((comps - centers) / scales, axis=1)[0])
+        comps, _ = change_oracle(tester, np.bincount(drawn, minlength=p.dim))
+        centers, scales, _ = calibration
+        expected = np.max((comps - centers) / scales, axis=1)[0]
+        assert np.float64(tester.statistic(drawn)).tobytes() == expected.tobytes()
 
-    def test_one_row_remainders_match_the_dense_oracle(self, monkeypatch):
-        # chunks of 5 trials and blocks of 2: 101 trials end in a chunk of one row, and every chunk of 5
-        # takes a one-row piece of a block, which must still be summed with the rest of its chunk
-        monkeypatch.setattr(certtest, "_CHUNK_ENTRIES", 5 * 64)
-        monkeypatch.setattr(certtest, "_BLOCK_ENTRIES", 2 * 64)
+    def test_one_row_remainders_match_the_dense_oracle(self):
+        # blocks of 1, 2 and 3 trials and the default block split 101 trials differently, the first three with
+        # a one-row block at the end; every run matches the oracle, and no output bit moves between them
         p = ProbVec(np.random.default_rng(6).dirichlet(np.ones(48)))  # a bulk wide enough to round either way
-        tester = CertificationTester(p, TesterConfig(eps=0.5, samples=64, calibration_runs=101, seed=2))
-        comps = tester._draw_components(p, stream_rng(2, 0xCA11B), 101)
-        assert comps.tobytes() == dense_components(tester, p, stream_rng(2, 0xCA11B), 101, 5).tobytes()
-        centers, scales, threshold = dense_calibration(tester, 5)
-        assert tester._centers.tobytes() == centers.tobytes() and tester._scales.tobytes() == scales.tobytes()
-        assert tester.threshold == threshold
+        q = tail_deletion_adversary(p, 0.6)
+        cfg = TesterConfig(eps=0.5, samples=64, calibration_runs=101, seed=2)
+        drawn = sample_outcomes(q, 64, stream_rng(2, 3))
+        runs = []
+        for per_block in (1, 2, 3, None):
+            with pytest.MonkeyPatch.context() as mp:
+                if per_block:
+                    mp.setattr(certtest, "_BLOCK_ENTRIES", per_block * 64)
+                tester = CertificationTester(p, cfg)
+                assert_calibration_bits(tester, oracle_calibration(tester))
+                out = [tester._draw_components(p, stream_rng(2, 0xCA11B), 101), tester._centers, tester._scales]
+                out += [np.float64(v) for v in (tester.threshold, tester.statistic(drawn))]
+                out += [np.float64(tester.accept_rate(dist, 101, stream=k)) for k, dist in ((1, p), (2, q))]
+                runs.append([a.tobytes() for a in out])
+        assert runs[1:] == runs[:1] * 3
+
+    def test_large_samples_stay_close_to_the_definition(self):
+        # s = 2^16 at dim 16: B and the change terms are ~1e10 and cancel to the statistic
+        p = ProbVec(np.random.default_rng(9).dirichlet(np.ones(16)))
+        tester = CertificationTester(p, TesterConfig(eps=0.5, samples=2**16, calibration_runs=100, seed=4))
+        comps = tester._draw_components(p, stream_rng(4, 11), 5)
+        assert comps.tobytes() == oracle_components(tester, p, stream_rng(4, 11), 5).tobytes()
 
     def test_memory_does_not_grow_with_calibration_runs(self):
         # aim: the tester's memory is bounded by the outcome space, not by trials x dim or trials x samples
@@ -247,8 +314,8 @@ class TestChunkedSampling:
                 tracemalloc.stop()
         # what grows is the (runs, 3) components and the few copies that the median and quantiles take
         assert peaks[1] - peaks[0] < 4 * (1200 - 300) * 3 * 8
-        # one chunk's term array (at most 8 MiB) and the draws and run lengths of one block
-        assert peaks[1] < 16 * 2**20
+        # the draws and run lengths of one block
+        assert peaks[1] < 8 * 2**20
 
     def test_accept_rate_needs_a_trial(self):
         p = ProbVec.uniform(4)

@@ -290,6 +290,19 @@ class TestCertify:
         assert code == 2 and out == ""
         assert err.startswith("resource limit:") and len(err.splitlines()) == 1
 
+    def test_monte_carlo_caps_exit_2(self, tmp_path, capsys):
+        # refused from the flags alone, before a sample set is drawn
+        samples = tmp_path / "s.json"
+        samples.write_text(json.dumps([0] * 10))
+        for argv in (
+            ["certify", "--target", "uniform:8", "--samples", str(samples), "--eps", "0.5",
+             "--calibration-runs", "1000000000"],
+            ["complexity", "--dist", "uniform:8", "--eps", "0.2", "--distance", "0.5", "--trials", "1000000000"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("resource limit:") and len(err.splitlines()) == 1
+
 
 class TestComplexity:
     def test_small_search(self, capsys):
@@ -340,6 +353,16 @@ class TestArgHandling:
         code, out, _ = run(capsys, "norms", "--config", str(cfg), "--dist", "uniform:4")
         assert code == 0
         assert json.loads(out)["dim"] == 4
+
+    def test_config_file_boolean_flags(self, tmp_path, capsys):
+        argv = ["simulate", "boson", "--n", "2", "--m", "3", "--seed", "5"]
+        _, csv, _ = run(capsys, *argv, "--csv")
+        _, pvec, _ = run(capsys, *argv)
+        for text, expected in (("csv = true\n", csv), ("csv = false\n", pvec)):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(text)
+            code, out, _ = run(capsys, *argv, "--config", str(cfg))
+            assert code == 0 and out == expected
 
 
 class TestMalformedInput:

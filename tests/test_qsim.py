@@ -348,6 +348,13 @@ class TestCircuitEnsemble:
         with pytest.raises(ResourceLimitError):
             CircuitEnsemble(kind="iqp", n=40, seed=0)
 
+    @pytest.mark.parametrize("kind", ["iqp", "haar_state"])
+    def test_depth_only_for_local_random(self, kind):
+        with pytest.raises(InvalidParameterError, match="depth"):
+            CircuitEnsemble(kind=kind, n=3, seed=0, depth=5)
+        assert CircuitEnsemble(kind=kind, n=3, seed=0, depth=0).depth == 0
+        assert CircuitEnsemble(kind="local_random", n=3, seed=0, depth=5).depth == 5
+
     def test_instance_reproducible(self):
         e = CircuitEnsemble(kind="haar_state", n=3, seed=5)
         a = e.instance_distribution(7).entries
