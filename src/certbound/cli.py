@@ -40,6 +40,7 @@ from .boson import BosonEnsemble, boson_distribution, bs_flatness_tail_bound
 from .certtest import ADVERSARIES, CertificationTester, TesterConfig, empirical_sample_complexity
 from .distvec import ProbVec, l1_distance, lp_quasinorm, min_entropy, renyi_entropy, truncated_core
 from .errors import MAX_QUBITS, InvalidParameterError, ResourceLimitError
+from .floattext import join_reprs
 from .moments import anti_concentration_check, estimate_second_moments, min_entropy_tail_check
 from .qsim import CircuitEnsemble
 
@@ -195,7 +196,7 @@ def cmd_simulate(args):
     if args.csv:
         dist, outcomes = boson_distribution(ens.instance(0))
         lines = ["occupation,probability"]
-        lines += [f"{occ},{prob!r}" for occ, prob in zip(outcomes.labels(), dist.entries.tolist())]
+        lines += [f"{occ},{prob}" for occ, prob in zip(outcomes.labels(), join_reprs(dist.entries, "\n").split("\n"))]
         return "\n".join(lines) + "\n"
     dist = ens.instance_distribution(0)
     return dist.to_bytes() if args.out and args.out.endswith(".pvec") else dist.to_json()

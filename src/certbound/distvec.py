@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
+from .floattext import join_reprs
 
 NORMALIZATION_TOL = 1e-9
 
@@ -34,50 +35,53 @@ _HALF = 26
 
 
 def _fsum(x: np.ndarray, p: float | None = None) -> float:
-    """Correctly rounded sum of the float64 entries of x, or of x**p: math.fsum's bits over a list.
+    """Correctly rounded sum of the float64 entries of x, or of x**p: math.fsum's bits over a list."""
+    if p is None:
+        return _fsum_terms(x.size, lambda i, n, out: x[i : i + n])
+    return _fsum_terms(x.size, lambda i, n, out: np.power(x[i : i + n], p, out=out))
 
-    From 2^12 entries on, an exact binned kernel does the sum (Neal,
-    arXiv:1505.05571).  Each chunk of 2^16 entries is read as int64 bits:
-    entry = +-m * 2^(e - 1075), with the implicit bit added to m where the
-    exponent field e is nonzero, and e = 1 for subnormals.  m splits into
-    hi * 2^26 + lo, and np.bincount sums hi and lo per exponent in float64;
-    every partial sum is an integer below 2^16 * 2^27 < 2^53, so it is exact.
-    Integer bins fold into one Python int in units of 2^-1074, and int true
-    division rounds it once, correctly, as fsum does.  With p, the power is
-    taken one chunk at a time into the kernel's buffer, so no whole-array
-    temporary is made.
 
-    math.fsum is the path for short inputs, for inputs with an entry of
+def _fsum_terms(size: int, term) -> float:
+    """Correctly rounded sum of size terms, made a chunk at a time: math.fsum's bits over a list.
+
+    term(i, n, out) returns the float64 terms i .. i+n-1, written into out
+    where out is given (None asks for a new array); so no whole-array
+    temporary is made.  From 2^12 terms on, an exact binned kernel does the
+    sum (Neal, arXiv:1505.05571).  Each chunk of 2^16 terms is read as int64
+    bits: term = +-m * 2^(e - 1075), with the implicit bit added to m where
+    the exponent field e is nonzero, and e = 1 for subnormals.  m splits
+    into hi * 2^26 + lo, and np.bincount sums hi and lo per exponent in
+    float64; every partial sum is an integer below 2^16 * 2^27 < 2^53, so it
+    is exact.  Integer bins fold into one Python int in units of 2^-1074,
+    and int true division rounds it once, correctly, as fsum does.  The sum
+    does not depend on the order of the terms.
+
+    math.fsum is the path for short inputs, for inputs with a term of
     magnitude >= 2^960 (inf and nan among them, so fsum's inf, nan,
     OverflowError and ValueError stay), and for an exact zero sum, whose
     sign is fsum's to choose.  Its Python floats are made one chunk at a
     time, so no whole-array list fills the interpreter's small-object arenas.
     """
-    if x.size >= _BINNED_MIN:
-        total = _binned_sum(x, p)
+    if size >= _BINNED_MIN:
+        total = _binned_sum(size, term)
         if total is not None:
             return total
-    chunks = (x[i : i + _FSUM_CHUNK] for i in range(0, x.size, _FSUM_CHUNK))
-    if p is not None:
-        chunks = (np.power(c, p) for c in chunks)
+    chunks = (term(i, min(_FSUM_CHUNK, size - i), None) for i in range(0, size, _FSUM_CHUNK))
     return math.fsum(itertools.chain.from_iterable(c.tolist() for c in chunks))
 
 
-def _binned_sum(x: np.ndarray, p: float | None) -> float | None:
-    """The exact kernel of _fsum; None where fsum's path must decide (see there).
+def _binned_sum(size: int, term) -> float | None:
+    """The exact kernel of _fsum_terms; None where fsum's path must decide (see there).
 
-    Bin totals are int64, exact below 2^36 entries.
+    Bin totals are int64, exact below 2^36 terms.
     """
-    size = min(x.size, _FSUM_CHUNK)
-    e_buf, m_buf, w_buf = np.empty(size, np.int64), np.empty(size, np.int64), np.empty(size)
+    width = min(size, _FSUM_CHUNK)
+    e_buf, m_buf, w_buf = np.empty(width, np.int64), np.empty(width, np.int64), np.empty(width)
     hi_bins, lo_bins = np.zeros(0x800, np.int64), np.zeros(0x800, np.int64)
-    for i in range(0, x.size, size):
-        n = min(size, x.size - i)
+    for i in range(0, size, width):
+        n = min(width, size - i)
         e, m, w = e_buf[:n], m_buf[:n], w_buf[:n]
-        if p is None:
-            bits = x[i : i + n].view(np.int64)
-        else:
-            bits = np.power(x[i : i + n], p, out=w).view(np.int64)
+        bits = term(i, n, w).view(np.int64)
         np.right_shift(bits, 52, out=e)
         negative = e.min() < 0  # the sign bit shifts in from the left
         np.bitwise_and(e, 0x7FF, out=e)
@@ -114,12 +118,15 @@ class ProbVec:
         arr = np.ascontiguousarray(np.asarray(self.entries, dtype=np.float64))
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidParameterError("entries must be a 1-D vector of dimension >= 1")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+        low, high = float(arr.min()), float(arr.max())  # nan in arr makes both nan
+        if not (low >= 0 and high < math.inf):
             raise InvalidParameterError("entries must be finite and non-negative")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
-        # pairwise np.sum errs by ~1e-15 at 2^20 entries, far inside NORMALIZATION_TOL
-        object.__setattr__(self, "normalized", abs(float(np.sum(arr)) - 1.0) <= NORMALIZATION_TOL)
+        # pairwise np.sum errs by ~1e-15 at 2^20 entries, far inside NORMALIZATION_TOL; an entry
+        # above 1 + tol rules normalization out, and the sum it skips could overflow
+        normalized = high <= 1.0 + NORMALIZATION_TOL and abs(float(np.sum(arr)) - 1.0) <= NORMALIZATION_TOL
+        object.__setattr__(self, "normalized", normalized)
 
     @property
     def dim(self) -> int:
@@ -145,7 +152,13 @@ class ProbVec:
     # -- serialization -------------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps(self.entries.tolist())
+        """The text of json.dumps(entries.tolist()), written by floattext.join_reprs.
+
+        Each entry's text is its repr, computed in numpy with Ryu's
+        shortest-digit algorithm (Adams, PLDI 2018); the entries outside the
+        kernel's range (-0.0, subnormals, values >= 2^50) take repr itself.
+        """
+        return "[" + join_reprs(self.entries, ", ") + "]"
 
     @staticmethod
     def from_json(text: str) -> "ProbVec":
@@ -193,7 +206,8 @@ def lp_quasinorm(v: ProbVec, p: float) -> float:
 def l1_distance(p: ProbVec, q: ProbVec) -> float:
     if p.dim != q.dim:
         raise InvalidParameterError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    return _fsum(np.abs(p.entries - q.entries))
+    a, b = p.entries, q.entries
+    return _fsum_terms(a.size, lambda i, n, out: np.abs(np.subtract(a[i : i + n], b[i : i + n], out=out), out=out))
 
 
 def remove_max(v: ProbVec) -> ProbVec:

@@ -25,6 +25,7 @@ from .errors import InvalidParameterError, ResourceLimitError, MAX_QUBITS
 from .rng import stream_rng
 
 DEFAULT_ANGLE_SET = tuple(k * math.pi / 8 for k in range(8))
+_DEFAULT_ANGLES = np.array(DEFAULT_ANGLE_SET)
 
 CIRCUIT_KINDS = ("iqp", "haar_state", "local_random")
 
@@ -59,11 +60,21 @@ class IqpWeights:
 
     @staticmethod
     def random(n: int, rng: np.random.Generator) -> "IqpWeights":
-        """Weights drawn uniformly from DEFAULT_ANGLE_SET."""
-        angles = np.asarray(DEFAULT_ANGLE_SET, dtype=np.float64)
-        w = angles[rng.integers(0, angles.size, size=(n, n))]
+        """Weights drawn uniformly from DEFAULT_ANGLE_SET.
+
+        The drawn matrix is symmetric and in the set by construction, so the
+        instance is built without __post_init__'s checks, which weights from
+        outside (the constructor, from_json) always pass through.
+        """
+        if n < 1:
+            raise InvalidParameterError("n must be >= 1")
+        w = _DEFAULT_ANGLES[rng.integers(0, _DEFAULT_ANGLES.size, size=(n, n))]
         w = np.triu(w) + np.triu(w, 1).T
-        return IqpWeights(n=n, angle_set=DEFAULT_ANGLE_SET, w=w)
+        w.flags.writeable = False
+        weights = object.__new__(IqpWeights)
+        for name, value in (("n", n), ("angle_set", DEFAULT_ANGLE_SET), ("w", w)):
+            object.__setattr__(weights, name, value)
+        return weights
 
     def to_json(self) -> str:
         upper = [float(self.w[i, j]) for i in range(self.n) for j in range(i, self.n)]

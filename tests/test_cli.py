@@ -217,6 +217,24 @@ class TestSimulate:
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out == out_file.read_text()
 
+    @pytest.mark.parametrize("n, m", [(4, 16), (5, 16)])
+    def test_boson_csv_has_the_repr_of_each_probability(self, capsys, n, m):
+        code, out, _ = run(capsys, "simulate", "boson", "--n", str(n), "--m", str(m), "--seed", "7", "--csv")
+        assert code == 0
+        dist, outcomes = boson_distribution(BosonEnsemble(n, m, 7).instance(0))
+        rows = [f"{occ},{prob!r}" for occ, prob in zip(outcomes.labels(), dist.entries.tolist())]
+        assert out == "\n".join(["occupation,probability", *rows]) + "\n"
+
+    def test_json_stdout_file_and_json_dumps_agree(self, tmp_path, capsys):
+        argv = ["simulate", "haar", "--n", "12", "--seed", "3"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--out", str(tmp_path / "x.json"))[0] == 0
+        assert run(capsys, *argv, "--out", str(tmp_path / "x.pvec"))[0] == 0
+        entries = ProbVec.from_bytes((tmp_path / "x.pvec").read_bytes()).entries
+        assert out == (tmp_path / "x.json").read_text() + "\n"
+        assert out == json.dumps(entries.tolist()) + "\n"
+
     @pytest.mark.parametrize("seed", [0, 7, 12345])
     @pytest.mark.parametrize(
         "argv, ensemble",

@@ -230,6 +230,14 @@ class TestBinnedSum:
         assert peak < 4 * 2**20
 
 
+# any finite non-negative entries, with zeros, subnormals and single entries drawn often
+_any_entries = st.lists(
+    st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-310]), st.floats(0.0, 1.0)),
+    min_size=1,
+    max_size=64,
+).map(np.array)
+
+
 class TestL1Distance:
     def test_examples(self):
         a = ProbVec(np.array([0.5, 0.5]))
@@ -238,6 +246,24 @@ class TestL1Distance:
         p = ProbVec(np.array([0.5, 0.25, 0.25]))
         q = ProbVec(np.array([0.25, 0.5, 0.25]))
         assert l1_distance(p, q) == pytest.approx(0.5, abs=1e-15)
+
+    @given(_any_entries, st.integers(0, 2**32 - 1))
+    def test_bits_of_the_whole_array_difference(self, x, seed):
+        y = np.random.default_rng(seed).permutation(x)
+        assert l1_distance(ProbVec(x), ProbVec(y)) == distvec._fsum(np.abs(x - y))
+
+    def test_bits_and_memory_at_2_20(self):
+        rng = stream_rng(17)
+        p, q = ProbVec(rng.dirichlet(np.ones(2**20))), ProbVec(rng.dirichlet(np.ones(2**20)))
+        assert l1_distance(p, q) == distvec._fsum(np.abs(p.entries - q.entries))
+        tracemalloc.start()
+        try:
+            l1_distance(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # np.abs(p - q) alone is two 8 MiB arrays; the kernel's three buffers are 1.5 MiB
+        assert peak <= 2.5 * 2**20
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidParameterError):
@@ -391,12 +417,8 @@ class TestTruncateTailBitExact:
             assert truncated_core(v, eps).entries.tobytes() == want.tobytes()
 
 
-# any finite non-negative entries, with zeros, subnormals and single entries drawn often
-_any_entries = st.lists(
-    st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-310]), st.floats(0.0, 1.0)),
-    min_size=1,
-    max_size=64,
-).map(np.array)
+def _as_float(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
 
 
 class TestRoundTripProperties:
@@ -404,6 +426,11 @@ class TestRoundTripProperties:
     def test_json_round_trip_is_exact(self, x):
         v = ProbVec(x)
         assert ProbVec.from_json(v.to_json()).entries.tobytes() == v.entries.tobytes()
+
+    @given(st.lists(st.one_of(st.just(-0.0), st.integers(0, 0x7FEFFFFFFFFFFFFF).map(_as_float)), min_size=1, max_size=64))
+    def test_json_text_is_json_dumps_on_any_bit_pattern(self, entries):
+        x = np.array(entries, dtype=np.float64)
+        assert ProbVec(x).to_json() == json.dumps(x.tolist())
 
     @given(_any_entries)
     def test_pvec_round_trip_is_exact(self, x):

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -61,6 +62,34 @@ class TestIqpWeights:
         w = IqpWeights.random(6, stream_rng(1))
         assert np.array_equal(w.w, w.w.T)
         assert np.all(np.isin(w.w, np.asarray(DEFAULT_ANGLE_SET)))
+
+    def test_off_set_weights_from_outside_still_raise(self):
+        w = IqpWeights.random(3, stream_rng(3))
+        off = w.w.copy()
+        off[0, 1] = off[1, 0] = 0.1
+        with pytest.raises(InvalidParameterError, match="angle_set"):
+            IqpWeights(3, DEFAULT_ANGLE_SET, off)
+        data = json.loads(w.to_json())
+        data["upper_triangle"][1] = 0.1
+        with pytest.raises(InvalidParameterError, match="angle_set"):
+            IqpWeights.from_json(json.dumps(data))
+        with pytest.raises(InvalidParameterError):
+            IqpWeights.random(0, stream_rng(3))
+
+    @pytest.mark.parametrize("n", [4, 10, 16])
+    def test_random_equals_the_checked_constructor(self, n):
+        def checked(rng):
+            angles = np.asarray(DEFAULT_ANGLE_SET)
+            w = angles[rng.integers(0, angles.size, size=(n, n))]
+            return IqpWeights(n=n, angle_set=DEFAULT_ANGLE_SET, w=np.triu(w) + np.triu(w, 1).T)
+
+        count = 3 if n == 16 else 6
+        ens = CircuitEnsemble("iqp", n, 11)
+        want = [iqp_output_distribution(checked(stream_rng(11, i))).entries.tobytes() for i in range(count)]
+        assert [p.entries.tobytes() for p in ens.distributions(count)] == want
+        assert [ens.instance_distribution(i).entries.tobytes() for i in range(count)] == want
+        w, ref = IqpWeights.random(n, stream_rng(11, 0)), checked(stream_rng(11, 0))
+        assert w.w.tobytes() == ref.w.tobytes() and w.angle_set == ref.angle_set and not w.w.flags.writeable
 
     def test_json_roundtrip(self):
         w = IqpWeights.random(5, stream_rng(2))
