@@ -204,17 +204,27 @@ def _check_distance(distance: float):
 
 
 def pairwise_shift_adversary(p: ProbVec, distance: float) -> ProbVec:
-    """Move mass between consecutive index pairs until the l1 distance is reached."""
+    """Move mass between consecutive index pairs until the l1 distance is reached.
+
+    Pair (2k, 2k+1) moves all of entry 2k while that entry is below the mass
+    still to move, the first pair whose even entry is not moves the rest, and
+    no later entry is touched.  The mass still to move before each pair is one
+    cumsum of [distance/2, -q[0], -q[2], ...], so it has the bits of
+    subtracting pair by pair.
+    """
     _check_distance(distance)
     q = p.entries.copy()
-    remaining = distance / 2.0
-    for i in range(0, p.dim - 1, 2):
-        if remaining <= 0:
-            break
-        t = min(q[i], remaining)
-        q[i] -= t
-        q[i + 1] += t
-        remaining -= t
+    even = q[0 : p.dim - 1 : 2]  # the entries that have a partner
+    rest = np.cumsum(np.concatenate(([distance / 2.0], -even)))
+    k = int(np.argmax(np.append(even >= rest[:-1], True)))  # the pairs that move whole
+    t = even[:k].copy()
+    even[:k] -= t
+    q[1 : 2 * k : 2] += t
+    remaining = rest[k]
+    if remaining > 0 and k < even.size:
+        q[2 * k] -= remaining
+        q[2 * k + 1] += remaining
+        remaining = 0.0
     if remaining > 1e-12:
         raise InvalidParameterError("target distance not reachable by pairwise shifts")
     return ProbVec(q / q.sum())

@@ -4,11 +4,17 @@ All distributions are returned as ProbVec over the 2^n computational-basis
 outcomes, indexed by the integer value of the bit string (qubit 0 is the
 most significant bit).
 
+Amplitudes are held as two float64 arrays, one real and one imaginary, so
+no amplitude array is larger than 8 MiB at the 2^20 cap: IQP takes cos and
+sin of its phases and transforms each in place, Haar states are the real
+and imaginary Gaussians as drawn, and `_row_probabilities` is the one place
+where |a|^2 is formed, through a small complex scratch chunk.
+
 `CircuitEnsemble.distributions(count)` simulates IQP and Haar-state
 instances whose 2^n is below _BATCH_ENTRIES (2^14) in batches of
-_BATCH_ENTRIES >> n: one phase build, one exp, one FWHT and one
-normalization per batch, with every instance drawn from its own stream and
-equal bit for bit to `instance_distribution(i)`.  The single-instance
+_BATCH_ENTRIES >> n: one phase build, one cos and one sin, two FWHTs and
+one normalization per batch, with every instance drawn from its own stream
+and equal bit for bit to `instance_distribution(i)`.  The single-instance
 functions are the same kernels with one row.
 """
 
@@ -159,15 +165,16 @@ def _check_qubits(n: int):
         raise ResourceLimitError(f"n = {n} exceeds the configured maximum of {MAX_QUBITS} qubits")
 
 
-# Entries of one complex block in the simulators' amplitude steps: 8 MiB, no larger than a
-# float64 vector at the 2^20 cap.  glibc raises its mmap threshold to the largest block freed,
-# so one 16 MiB array would move every later 8-16 MiB array onto the heap, whose resident
-# size then depends on allocation order and varied from one run to the next.
-_BLOCK = 1 << 19
+# Entries of the one complex scratch chunk through which _row_probabilities takes |a|: 1 MiB.
+# Every other amplitude array is a float64 row, 8 MiB at the 2^20 cap.  glibc raises its mmap
+# threshold to the largest block freed, so one 16 MiB array would move every later 8-16 MiB
+# array onto the heap, whose resident size then depends on allocation order.
+_ABS_CHUNK = 1 << 16
 
-# Entries of one batch of small instances in CircuitEnsemble.distributions: its complex buffer is
-# 256 KiB, so a sweep's peak memory does not grow with its instance count.  With 2^19-entry
-# batches the traced peak of an IQP n=10 tail check grew from 8.7 MB at 200 instances to 22 MB at 800.
+# Entries of one batch of small instances in CircuitEnsemble.distributions: its real and
+# imaginary arrays are 128 KiB each, so a sweep's peak memory does not grow with its instance
+# count.  With 2^19-entry batches the traced peak of an IQP n=10 tail check grew from 8.7 MB at
+# 200 instances to 22 MB at 800.
 _BATCH_ENTRIES = 1 << 14
 
 
@@ -177,41 +184,25 @@ def fwht(a: np.ndarray) -> np.ndarray:
 
 
 def _fwht_inplace(a: np.ndarray, size: int) -> np.ndarray:
-    """fwht of each `size`-entry segment of `a`, in place, with one half-size scratch buffer.
+    """fwht of each `size`-entry segment of the contiguous `a`, in place, with one half-size scratch buffer.
 
-    The levels stop at h = size, so no butterfly crosses a segment.
+    The levels stop at h = size, so no butterfly crosses a segment.  A float64
+    `a` runs level 1 on its floats and every later level on its complex128
+    view: a view entry is a pair of adjacent floats, and from h = 2 on the
+    butterflies pair whole float pairs, so the adds are the same.
     """
-    diff = np.empty(a.size // 2, dtype=a.dtype)
-    h = 1
+    v, diff, h = a, np.empty(a.size // 2, dtype=a.dtype), 1
     while h < size:
-        pairs = a.reshape(-1, 2, h)
+        pairs = v.reshape(-1, 2, h)
         top, bot = pairs[:, 0, :], pairs[:, 1, :]
         d = diff.reshape(-1, h)
         np.subtract(top, bot, out=d)
         top += bot
         bot[...] = d
         h *= 2
+        if v.dtype == np.float64 and h < size:
+            v, diff, h, size = v.view(np.complex128), diff.view(np.complex128), 1, size // 2
     return a
-
-
-def _fwht_blocks(blocks: list[np.ndarray], size: int) -> None:
-    """fwht, in place, of each `size`-entry row of the concatenation of equal-size power-of-two blocks.
-
-    Levels below the block size run inside each block and the rest pair whole
-    blocks, up to h = size.  Every level adds and subtracts the same pairs as
-    fwht on one row, so the bits are the same.
-    """
-    for b in blocks:
-        _fwht_inplace(b, min(size, b.size))
-    h = 1
-    while h * blocks[0].size < size:
-        diff = np.empty_like(blocks[0])
-        for j in range(0, len(blocks), 2 * h):
-            for top, bot in zip(blocks[j : j + h], blocks[j + h : j + 2 * h]):
-                np.subtract(top, bot, out=diff)
-                top += bot
-                bot[...] = diff
-        h *= 2
 
 
 def iqp_output_distribution(w: IqpWeights) -> ProbVec:
@@ -233,13 +224,19 @@ def iqp_output_distribution(w: IqpWeights) -> ProbVec:
 
 
 def _iqp_probabilities(weights: list[IqpWeights]) -> np.ndarray:
-    """The output distribution of each circuit (all of one n), one row each."""
-    theta = _phases(*weights).reshape(-1)
-    blocks = [np.exp(1j * theta[i : i + _BLOCK]) for i in range(0, theta.size, _BLOCK)]
-    del theta
-    _fwht_blocks(blocks, 2 ** weights[0].n)
+    """The output distribution of each circuit (all of one n), one row each.
+
+    The real and imaginary rows of exp(i theta) are cos(theta) and sin(theta),
+    the latter written over theta; the transform is linear, so each is
+    transformed alone.
+    """
+    theta = _phases(*weights)
+    re = np.cos(theta)
+    im = np.sin(theta, out=theta)
+    _fwht_inplace(re, re.shape[1])
+    _fwht_inplace(im, im.shape[1])
     # the 1/2^n amplitude scale is a power of two, so dropping it before normalizing is exact
-    return _row_probabilities(blocks, len(weights))
+    return _row_probabilities(re, im)
 
 
 def _phases(*weights: IqpWeights) -> np.ndarray:
@@ -255,25 +252,23 @@ def _phases(*weights: IqpWeights) -> np.ndarray:
     return theta
 
 
-def _probabilities(blocks: list[np.ndarray]) -> ProbVec:
-    """|a|^2 / sum |a|^2 for the amplitude vector a that the complex blocks concatenate to."""
-    return ProbVec(_row_probabilities(blocks, 1)[0])
+def _row_probabilities(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """|a|^2 / sum |a|^2 for each row a = re + i im along the last axis, written over `re`.
 
-
-def _row_probabilities(blocks: list[np.ndarray], rows: int) -> np.ndarray:
-    """|a|^2 / sum |a|^2 for each of `rows` equal rows a of the amplitudes that the complex blocks concatenate to.
-
-    Each row is divided by its own sum, which has the bits of np.sum on that row alone.
+    |a| is numpy's complex abs, taken one _ABS_CHUNK at a time through one
+    reused complex scratch array: np.hypot(re, im) differs from it in the last
+    bit.  Each row is divided by its own sum, which has the bits of np.sum on
+    that row alone.
     """
-    probs = np.empty(sum(b.size for b in blocks))
-    i = 0
-    for b in blocks:
-        np.abs(b, out=probs[i : i + b.size])
-        i += b.size
-    np.square(probs, out=probs)
-    probs = probs.reshape(rows, -1)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs
+    flat_re, flat_im = re.reshape(-1), im.reshape(-1)
+    z = np.empty(min(flat_re.size, _ABS_CHUNK), dtype=complex)
+    for i in range(0, flat_re.size, _ABS_CHUNK):
+        chunk = z[: min(flat_re.size - i, _ABS_CHUNK)]
+        chunk.real, chunk.imag = flat_re[i : i + chunk.size], flat_im[i : i + chunk.size]
+        np.abs(chunk, out=flat_re[i : i + chunk.size])
+    np.square(re, out=re)
+    re /= re.sum(axis=-1, keepdims=True)
+    return re
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -311,19 +306,10 @@ def haar_state_distribution(n: int, rng: np.random.Generator) -> ProbVec:
 def _haar_probabilities(n: int, rngs, rows: int) -> np.ndarray:
     """haar_state_distribution(n, rng) for each of the `rows` streams that `rngs` yields, one row each."""
     re, im = np.empty((rows, 2**n)), np.empty((rows, 2**n))
-    # indexed, not zipped: a row view left in a loop variable would keep re and im alive past their del
     for j, rng in enumerate(rngs):
         rng.standard_normal(out=re[j])
         rng.standard_normal(out=im[j])
-    re, im = re.reshape(-1), im.reshape(-1)
-    blocks = []
-    for i in range(0, re.size, _BLOCK):
-        # re + 1j * im, but for the sign of a zero real part, which abs drops
-        z = np.empty(min(re.size - i, _BLOCK), dtype=complex)
-        z.real, z.imag = re[i : i + _BLOCK], im[i : i + _BLOCK]
-        blocks.append(z)
-    del re, im
-    return _row_probabilities(blocks, rows)
+    return _row_probabilities(re, im)
 
 
 def local_random_circuit_distribution(n: int, depth: int, rng: np.random.Generator) -> ProbVec:
@@ -348,7 +334,7 @@ def local_random_circuit_distribution(n: int, depth: int, rng: np.random.Generat
     psi[0] = 1.0
     for gate, q in zip(gates, sites.tolist()):
         psi = gate @ psi if n == 1 else _apply_two_qubit_gate(psi, gate, q, n)
-    return _probabilities([psi])
+    return ProbVec(_row_probabilities(psi.real, psi.imag))
 
 
 def _apply_two_qubit_gate(psi: np.ndarray, gate: np.ndarray, q: int, n: int) -> np.ndarray:

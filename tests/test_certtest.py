@@ -324,7 +324,49 @@ class TestChunkedSampling:
             tester.accept_rate(p, 0, stream=1)
 
 
+def _pairwise_shift_loop(p, distance):
+    """Oracle: pairwise_shift_adversary as a pair-by-pair loop."""
+    q = p.entries.copy()
+    remaining = distance / 2.0
+    for i in range(0, p.dim - 1, 2):
+        if remaining <= 0:
+            break
+        t = min(q[i], remaining)
+        q[i] -= t
+        q[i + 1] += t
+        remaining -= t
+    if remaining > 1e-12:
+        raise InvalidParameterError("target distance not reachable by pairwise shifts")
+    return ProbVec(q / q.sum())
+
+
+@st.composite
+def _shift_cases(draw):
+    """A target of 1-59 entries, about a fifth of them +-0.0, and a distance in [0, 2], often one that
+    ends exactly on a partial sum of the even entries."""
+    dim = draw(st.integers(1, 59))
+    entry = st.one_of(st.sampled_from([0.0, -0.0]), *[st.floats(1e-3, 1.0)] * 4)
+    x = np.array(draw(st.lists(entry, min_size=dim, max_size=dim)))
+    if not np.any(x):
+        x[draw(st.integers(0, dim - 1))] = 1.0
+    x = x / x.sum()
+    ends = np.minimum(2 * np.cumsum(x[0 : dim - 1 : 2]), 2.0).tolist()
+    distance = draw(st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, 2.0, *ends])))
+    return ProbVec(x), distance
+
+
 class TestAdversaries:
+    @given(_shift_cases())
+    def test_pairwise_shift_has_the_bits_of_the_loop(self, case):
+        p, distance = case
+        try:
+            want = _pairwise_shift_loop(p, distance)
+        except InvalidParameterError as err:
+            with pytest.raises(InvalidParameterError, match=str(err)):
+                pairwise_shift_adversary(p, distance)
+            return
+        assert pairwise_shift_adversary(p, distance).entries.tobytes() == want.entries.tobytes()
+
     def test_pairwise_shift_distance(self):
         p = ProbVec.uniform(16)
         q = pairwise_shift_adversary(p, 0.5)

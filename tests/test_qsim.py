@@ -113,6 +113,12 @@ class TestFwht:
         a = stream_rng(4).standard_normal(64)
         assert np.allclose(fwht(fwht(a)), 64 * a)
 
+    @pytest.mark.parametrize("rows, k", [(1, k) for k in range(13)] + [(6, 1), (6, 2), (6, 5)])
+    def test_real_rows_have_the_bits_of_the_complex_transform(self, rows, k):
+        a = stream_rng(16, rows, k).standard_normal((rows, 2**k))
+        want = np.stack([fwht(row.astype(complex)).real for row in a])
+        assert qsim._fwht_inplace(a.copy(), 2**k).tobytes() == want.tobytes()
+
     def test_leaves_argument_unchanged(self):
         a = stream_rng(4).standard_normal(64) + 1j * stream_rng(5).standard_normal(64)
         before = a.copy()
@@ -165,8 +171,8 @@ class TestIqpDistribution:
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_same_bits_as_the_complex_formula(self, n, monkeypatch):
-        # blocks of 16 entries, so n = 7 runs three levels across blocks
-        monkeypatch.setattr(qsim, "_BLOCK", 16)
+        # a 24-entry abs chunk, not a power of two, so the last chunk is a short one
+        monkeypatch.setattr(qsim, "_ABS_CHUNK", 24)
         w = IqpWeights.random(n, stream_rng(14, n))
         oracle = np.abs(fwht(np.exp(1j * qsim._phases(w)))) ** 2
         mine = iqp_output_distribution(w).entries
@@ -209,7 +215,7 @@ class TestHaarStateDistribution:
 
     @pytest.mark.parametrize("n", [1, 6, 9])
     def test_same_bits_as_the_complex_formula(self, n, monkeypatch):
-        monkeypatch.setattr(qsim, "_BLOCK", 64)
+        monkeypatch.setattr(qsim, "_ABS_CHUNK", 24)
         rng = stream_rng(15, n)
         psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         oracle = np.abs(psi) ** 2
@@ -227,8 +233,10 @@ class TestHaarStateDistribution:
 @pytest.mark.parametrize(
     "simulate, per_entry",
     [
-        (lambda n: haar_state_distribution(n, stream_rng(2)), 32),  # re and im, then the complex amplitudes
-        (lambda n: iqp_output_distribution(IqpWeights.random(n, stream_rng(1))), 40),  # theta, 1j * theta, its exp
+        # the re and im rows, then the complex abs chunk (2^16 entries, 16 B per entry at n = 16)
+        (lambda n: haar_state_distribution(n, stream_rng(2)), 32),
+        # cos(theta) and sin(theta) written over theta, then the same abs chunk
+        (lambda n: iqp_output_distribution(IqpWeights.random(n, stream_rng(1))), 32),
     ],
     ids=["haar", "iqp"],
 )
@@ -290,7 +298,8 @@ def _per_gate_circuit(n, depth, rng):
         else:
             q = int(rng.integers(0, n - 1))
             psi = qsim._apply_two_qubit_gate(psi, _per_gate_haar_unitary(4, rng), q, n)
-    return qsim._probabilities([psi])
+    a = np.abs(psi) ** 2
+    return ProbVec(a / a.sum())
 
 
 def _zero_run(lead, mass, run, trail):
