@@ -96,10 +96,15 @@ class BosonInstance:
     @staticmethod
     def from_json(text: str) -> "BosonInstance":
         data = json.loads(text)
-        m = int(data["m"])
-        flat = np.asarray(data["U_re_im"], dtype=np.float64)
+        n, m, flat = data["n"], data["m"], data["U_re_im"]
+        for name, value in (("n", n), ("m", m)):
+            if type(value) is not int or value < 1:  # bool is a subclass of int
+                raise InvalidParameterError(f"{name} must be a positive integer, got {value!r}")
+        if not isinstance(flat, list) or len(flat) != 2 * m * m:
+            raise InvalidParameterError(f"U_re_im must hold 2 m^2 = {2 * m * m} numbers")
+        flat = np.asarray(flat, dtype=np.float64)
         U = (flat[0::2] + 1j * flat[1::2]).reshape(m, m)
-        return BosonInstance(n=int(data["n"]), m=m, U=U)
+        return BosonInstance(n=n, m=m, U=U)
 
 
 class OutcomeSpace(Sequence):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distvec import ProbVec, _fsum, l1_distance, truncate_tail, truncated_core
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import MAX_DRAWS, InvalidParameterError, ResourceLimitError
 from .qsim import inverse_cdf
 from .rng import stream_rng
 
@@ -47,10 +47,6 @@ CALIBRATION_MARGIN = 0.05  # absorbs Monte-Carlo noise on top of the 2/3 target
 # Entries of the (trials x samples) draws per block of trials; a block's uniforms and outcome
 # indices stay in cache.
 _BLOCK_ENTRIES = 1 << 17
-
-# Largest sample size a tester takes (the complexity search gives up above it), and most
-# calibration runs or Monte-Carlo trials it draws.
-_S_MAX = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -67,12 +63,12 @@ class TesterConfig:
             raise InvalidParameterError("eps must be in (0, 1)")
         if self.samples < 1:
             raise InvalidParameterError("samples must be >= 1")
-        if self.samples > _S_MAX:
-            raise ResourceLimitError(f"samples must be <= {_S_MAX}")
+        if self.samples > MAX_DRAWS:
+            raise ResourceLimitError(f"samples must be <= {MAX_DRAWS}")
         if self.calibration_runs < 100:
             raise InvalidParameterError("calibration_runs must be >= 100")
-        if self.calibration_runs > _S_MAX:
-            raise ResourceLimitError(f"calibration_runs must be <= {_S_MAX}")
+        if self.calibration_runs > MAX_DRAWS:
+            raise ResourceLimitError(f"calibration_runs must be <= {MAX_DRAWS}")
 
 
 @dataclass(frozen=True)
@@ -189,8 +185,8 @@ class CertificationTester:
             raise InvalidParameterError("dimension mismatch")
         if trials < 1:
             raise InvalidParameterError("trials must be >= 1")
-        if trials > _S_MAX:
-            raise ResourceLimitError(f"trials must be <= {_S_MAX}")
+        if trials > MAX_DRAWS:
+            raise ResourceLimitError(f"trials must be <= {MAX_DRAWS}")
         rng = stream_rng(self.cfg.seed, 0x7E57, stream)
         return float(np.mean(self._combined(self._draw_components(q, rng, trials)) <= self.threshold))
 
@@ -292,8 +288,8 @@ def empirical_sample_complexity(
     """
     if trials < 300:
         raise InvalidParameterError("need at least 300 trials per point")
-    if trials > _S_MAX:
-        raise ResourceLimitError(f"trials must be <= {_S_MAX}")
+    if trials > MAX_DRAWS:
+        raise ResourceLimitError(f"trials must be <= {MAX_DRAWS}")
     if l1_distance(p, adversary) <= cfg.eps:
         raise InvalidParameterError("adversary not eps-far from the target")
 
@@ -306,8 +302,8 @@ def empirical_sample_complexity(
     s = cfg.samples
     while not passes(s):
         s *= 2
-        if s > _S_MAX:
-            raise InvalidParameterError(f"no passing sample size found below {_S_MAX}")
+        if s > MAX_DRAWS:
+            raise InvalidParameterError(f"no passing sample size found below {MAX_DRAWS}")
     lo, hi = s // 2, s
     for _ in range(refine_steps):
         if hi - lo <= 1:

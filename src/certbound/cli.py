@@ -39,7 +39,7 @@ from .bounds import (
 from .boson import BosonEnsemble, boson_distribution, bs_flatness_tail_bound
 from .certtest import ADVERSARIES, CertificationTester, TesterConfig, empirical_sample_complexity
 from .distvec import ProbVec, l1_distance, lp_quasinorm, min_entropy, renyi_entropy, truncated_core
-from .errors import MAX_QUBITS, InvalidParameterError, ResourceLimitError
+from .errors import MAX_DRAWS, MAX_QUBITS, InvalidParameterError, ResourceLimitError
 from .floattext import join_reprs
 from .moments import anti_concentration_check, estimate_second_moments, min_entropy_tail_check
 from .qsim import CircuitEnsemble
@@ -216,7 +216,10 @@ def cmd_anticoncentration(args):
 
 def cmd_certify(args):
     target = _load_dist(args.target)
-    samples = json.loads(Path(args.samples).read_text())
+    raw = Path(args.samples).read_bytes()  # json.loads reads bytes too, without a decoded str copy
+    if raw.count(b",") + 1 > MAX_DRAWS:  # an array of s numbers has s - 1 commas; the JSON is not parsed yet
+        raise ResourceLimitError(f"{args.samples}: more than {MAX_DRAWS} samples")
+    samples = json.loads(raw)
     # bool is a subclass of int, and np.asarray([0, True]) is an int64 array
     if not isinstance(samples, list) or any(type(s) is not int for s in samples):
         raise InvalidParameterError(f"{args.samples} must hold a JSON array of integer outcome indices")

@@ -17,3 +17,6 @@ class ResourceLimitError(CertboundError):
 # keep a single instance below a few hundred MB.
 MAX_QUBITS = 20
 MAX_OUTCOMES = 10**6
+# Largest sample size a tester takes, and most calibration runs, Monte-Carlo
+# trials or ensemble instances one call draws.
+MAX_DRAWS = 1 << 20

@@ -22,13 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distvec import ProbVec, _fsum, min_entropy
-from .errors import InvalidParameterError
+from .errors import MAX_DRAWS, InvalidParameterError, ResourceLimitError
 
 
 def _sweep(ensemble, num_instances: int, stat) -> np.ndarray:
     """stat(distribution of instance i) for i = 0 ... num_instances-1, in index order."""
     if num_instances < 2:
         raise InvalidParameterError("need at least 2 instances")
+    if num_instances > MAX_DRAWS:
+        raise ResourceLimitError(f"instances must be <= {MAX_DRAWS}")
     # map drops each distribution once stat returns; a list comprehension's loop variable would keep
     # it alive while the next one is built
     return np.array(list(map(stat, ensemble.distributions(num_instances))))

@@ -4,11 +4,12 @@ All distributions are returned as ProbVec over the 2^n computational-basis
 outcomes, indexed by the integer value of the bit string (qubit 0 is the
 most significant bit).
 
-Amplitudes are held as two float64 arrays, one real and one imaginary, so
-no amplitude array is larger than 8 MiB at the 2^20 cap: IQP takes cos and
-sin of its phases and transforms each in place, Haar states are the real
-and imaginary Gaussians as drawn, and `_row_probabilities` is the one place
-where |a|^2 is formed, through a small complex scratch chunk.
+IQP and Haar amplitudes are held as two float64 arrays, one real and one
+imaginary, no larger than 8 MiB each at the 2^20 cap: IQP takes cos and sin
+of its phases and transforms each in place, and Haar states are the real and
+imaginary Gaussians as drawn.  A local random circuit applies each gate as one
+broadcast matmul from one complex state buffer into another, allocated once.
+`_row_probabilities` is the one place where |a|^2 is formed.
 
 `CircuitEnsemble.distributions(count)` simulates IQP and Haar-state
 instances whose 2^n is below _BATCH_ENTRIES (2^14) in batches of
@@ -83,20 +84,19 @@ class IqpWeights:
         return weights
 
     def to_json(self) -> str:
-        upper = [float(self.w[i, j]) for i in range(self.n) for j in range(i, self.n)]
+        upper = self.w[np.triu_indices(self.n)].tolist()
         return json.dumps({"n": self.n, "angle_set": list(self.angle_set), "upper_triangle": upper})
 
     @staticmethod
     def from_json(text: str) -> "IqpWeights":
         data = json.loads(text)
-        n = int(data["n"])
-        upper = data["upper_triangle"]
+        n, upper = data["n"], data["upper_triangle"]
+        if type(n) is not int or n < 1:  # bool is a subclass of int
+            raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
+        if not isinstance(upper, list) or len(upper) != n * (n + 1) // 2:
+            raise InvalidParameterError(f"upper_triangle must hold n(n+1)/2 = {n * (n + 1) // 2} weights")
         w = np.zeros((n, n))
-        k = 0
-        for i in range(n):
-            for j in range(i, n):
-                w[i, j] = w[j, i] = upper[k]
-                k += 1
+        w[np.triu_indices(n)] = w.T[np.triu_indices(n)] = upper
         return IqpWeights(n=n, angle_set=tuple(data["angle_set"]), w=w)
 
 
@@ -213,11 +213,11 @@ def iqp_output_distribution(w: IqpWeights) -> ProbVec:
     chi_i(x) = (-1)^(x_i), so the amplitudes are the Walsh-Hadamard
     transform of the phase vector exp(i theta) divided by 2^n.
 
-    theta is built by doubling: qubits are placed from the last to the first,
-    each as the new most significant bit, theta' = [theta + a, theta - a] with
-    a = w_ii + sum_{j placed} w_ij chi_j.  Row k of `acc` holds that sum for
-    the k-th qubit not yet placed, so the build is O(2^n) work in O(n) numpy
-    calls.
+    theta is built by doubling, in place in one 2^n-column array: qubits are
+    placed from the last to the first, each as the new most significant bit,
+    theta' = [theta + a, theta - a] with a = w_ii + sum_{j placed} w_ij chi_j.
+    Row k of `acc` holds that sum for the k-th qubit not yet placed, so the
+    build is O(2^n) work in O(n) numpy calls.
     """
     _check_qubits(w.n)
     return ProbVec(_iqp_probabilities([w])[0])
@@ -240,13 +240,14 @@ def _iqp_probabilities(weights: list[IqpWeights]) -> np.ndarray:
 
 
 def _phases(*weights: IqpWeights) -> np.ndarray:
-    """theta(x) for every x, one row per circuit (all of one n), built by doubling (see iqp_output_distribution)."""
+    """theta(x) for every x, one row per circuit (all of one n), doubled in place (see iqp_output_distribution)."""
     rev = np.stack([w.w for w in weights])[:, ::-1, ::-1]  # row/column i is qubit n - 1 - i
-    theta = np.zeros((len(weights), 1))
+    theta = np.zeros((len(weights), 2 ** rev.shape[1]))
     acc = np.diagonal(rev, axis1=1, axis2=2)[:, :, None]
     for i in range(rev.shape[1]):
-        a, acc = acc[:, 0], acc[:, 1:]
-        theta = np.concatenate((theta + a, theta - a), axis=1)
+        a, acc, h = acc[:, 0], acc[:, 1:], 2**i
+        np.subtract(theta[:, :h], a, out=theta[:, h : 2 * h])
+        theta[:, :h] += a
         col = rev[:, i + 1 :, i, None]
         acc = np.concatenate((acc + col, acc - col), axis=2)
     return theta
@@ -318,6 +319,8 @@ def local_random_circuit_distribution(n: int, depth: int, rng: np.random.Generat
     Each gate's site and Ginibre matrix are drawn in the order of a gate-by-gate
     loop over haar_unitary, and the gates are then made by one stacked QR.
     At n = 1 every gate is a Haar single-qubit unitary and no site is drawn.
+    Each gate, 2 x 2 or 4 x 4, is one np.matmul over the state viewed as
+    (2^q, d, rest) into a second buffer, and the two swap after each gate.
     """
     _check_qubits(n)
     if depth < 0:
@@ -330,20 +333,13 @@ def local_random_circuit_distribution(n: int, depth: int, rng: np.random.Generat
             sites[k] = rng.integers(0, n - 1)  # acts on neighbors (q, q+1)
         re[k], im[k] = rng.standard_normal((d, d)), rng.standard_normal((d, d))
     gates = _haar_from_ginibre(re, im)
-    psi = np.zeros(2**n, dtype=np.complex128)
+    psi, out = np.zeros(2**n, dtype=np.complex128), np.empty(2**n, dtype=np.complex128)
     psi[0] = 1.0
     for gate, q in zip(gates, sites.tolist()):
-        psi = gate @ psi if n == 1 else _apply_two_qubit_gate(psi, gate, q, n)
+        np.matmul(gate, psi.reshape(2**q, d, -1), out=out.reshape(2**q, d, -1))
+        psi, out = out, psi
+    del out  # so that the probability step's buffers take its place
     return ProbVec(_row_probabilities(psi.real, psi.imag))
-
-
-def _apply_two_qubit_gate(psi: np.ndarray, gate: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Apply a 4x4 gate on adjacent qubits (q, q+1); qubit 0 is the most significant bit."""
-    left = 2**q
-    right = 2 ** (n - q - 2)
-    psi = psi.reshape(left, 4, right)
-    psi = np.einsum("ab,ibj->iaj", gate, psi)
-    return np.ascontiguousarray(psi).reshape(-1)
 
 
 # Steps up that a draw may take from its bucket's start before it falls back to a binary search, so

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -54,6 +55,24 @@ class TestBosonInstance:
         inst2 = BosonInstance.from_json(inst.to_json())
         assert inst2.n == 2 and inst2.m == 5
         assert np.allclose(inst.U, inst2.U)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n", 2.7, "n must be"),
+            ("n", True, "n must be"),
+            ("m", "3", "m must be"),
+            ("m", 0, "m must be"),
+            ("U_re_im", [0.0] * 5, "U_re_im"),
+            ("U_re_im", [0.0] * 19, "U_re_im"),
+            ("U_re_im", "0", "U_re_im"),
+        ],
+    )
+    def test_json_fields_are_checked(self, field, value, message):
+        data = json.loads(BosonInstance.haar(2, 3, stream_rng(1)).to_json())
+        data[field] = value
+        with pytest.raises(InvalidParameterError, match=message):
+            BosonInstance.from_json(json.dumps(data))
 
 
 class TestEnumeratePhi:

@@ -23,7 +23,7 @@ from certbound.certtest import (
     pairwise_shift_adversary,
     tail_deletion_adversary,
 )
-from certbound.errors import InvalidParameterError, ResourceLimitError
+from certbound.errors import MAX_DRAWS, InvalidParameterError, ResourceLimitError
 from certbound.rng import stream_rng
 
 from conftest import normalized_targets
@@ -39,13 +39,13 @@ class TestTesterConfig:
             TesterConfig(eps=0.5, samples=10, calibration_runs=50)
 
     def test_sample_cap(self):
-        assert TesterConfig(eps=0.5, samples=certtest._S_MAX).samples == certtest._S_MAX
+        assert TesterConfig(eps=0.5, samples=MAX_DRAWS).samples == MAX_DRAWS
         with pytest.raises(ResourceLimitError, match="samples"):
-            TesterConfig(eps=0.5, samples=certtest._S_MAX + 1)
+            TesterConfig(eps=0.5, samples=MAX_DRAWS + 1)
 
     def test_monte_carlo_caps(self, monkeypatch):
         # above the cap, each size is refused before a sample set is drawn, so no large run happens here
-        cap = certtest._S_MAX
+        cap = MAX_DRAWS
         assert TesterConfig(eps=0.5, samples=10, calibration_runs=cap).calibration_runs == cap
         with pytest.raises(ResourceLimitError, match="calibration_runs"):
             TesterConfig(eps=0.5, samples=10, calibration_runs=cap + 1)

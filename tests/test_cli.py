@@ -10,9 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from certbound import ProbVec, bounds, certtest, cli, sample_outcomes
+from certbound import ProbVec, bounds, cli, sample_outcomes
 from certbound.boson import BosonEnsemble, boson_distribution
 from certbound.cli import build_parser, main
+from certbound.errors import MAX_DRAWS
 from certbound.qsim import CircuitEnsemble
 from certbound.rng import stream_rng
 
@@ -301,9 +302,13 @@ class TestCertify:
         assert data["samples_used"] == 200
 
     def test_sample_cap_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(certtest, "_S_MAX", 16)
+        # refused from the file's comma count: the JSON is never parsed
+        def no_parse(*args, **kwargs):
+            raise AssertionError("parsed the samples file")
+
         samples = tmp_path / "s.json"
-        samples.write_text(json.dumps([0] * 17))
+        samples.write_text(json.dumps([0] * (MAX_DRAWS + 1)))
+        monkeypatch.setattr(json, "loads", no_parse)
         code, out, err = run(capsys, "certify", "--target", "uniform:8", "--samples", str(samples), "--eps", "0.5")
         assert code == 2 and out == ""
         assert err.startswith("resource limit:") and len(err.splitlines()) == 1
@@ -316,6 +321,7 @@ class TestCertify:
             ["certify", "--target", "uniform:8", "--samples", str(samples), "--eps", "0.5",
              "--calibration-runs", "1000000000"],
             ["complexity", "--dist", "uniform:8", "--eps", "0.2", "--distance", "0.5", "--trials", "1000000000"],
+            ["moments", "--ensemble", "haar", "--n", "2", "--instances", str(MAX_DRAWS + 1)],
         ):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == ""

@@ -15,7 +15,7 @@ from certbound import (
     estimate_second_moments,
     min_entropy_tail_check,
 )
-from certbound.errors import InvalidParameterError
+from certbound.errors import MAX_DRAWS, InvalidParameterError, ResourceLimitError
 from certbound.moments import MomentEstimate
 
 
@@ -100,6 +100,26 @@ def test_tail_check_peak_memory_does_not_grow_with_instances():
 
     traced_peak(20)  # lazy set-up outside the measured calls
     assert traced_peak(800) - traced_peak(200) < 2**18
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda e, count: estimate_second_moments(e, count),
+        lambda e, count: min_entropy_tail_check(e, delta=0.5, num_instances=count),
+        lambda e, count: anti_concentration_check(e, alpha=0.5, num_instances=count),
+    ],
+)
+def test_instance_cap_is_checked_before_any_draw(check):
+    calls = []
+    ensemble = recording_ensemble(ProbVec.uniform(4), calls)
+    asked = []
+    ensemble.distributions = lambda count: asked.append(count) or map(ensemble.instance_distribution, range(count))
+    with pytest.raises(ResourceLimitError, match="instances"):
+        check(ensemble, MAX_DRAWS + 1)
+    assert calls == [] and asked == []
+    check(ensemble, 3)  # the same ensemble sweeps once the count is in range
+    assert calls == [0, 1, 2] and asked == [3]
 
 
 class TestEstimateSecondMoments:

@@ -97,6 +97,30 @@ class TestIqpWeights:
         assert np.array_equal(w.w, w2.w)
         assert w.angle_set == w2.angle_set
 
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_json_has_the_bytes_of_the_row_by_row_triangle(self, n):
+        w = IqpWeights.random(n, stream_rng(20, n))
+        upper = [float(w.w[i, j]) for i in range(n) for j in range(i, n)]
+        assert w.to_json() == json.dumps({"n": n, "angle_set": list(w.angle_set), "upper_triangle": upper})
+        assert IqpWeights.from_json(w.to_json()).w.tobytes() == w.w.tobytes()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n", 2.7, "n must be"),
+            ("n", True, "n must be"),
+            ("n", 0, "n must be"),
+            ("upper_triangle", [0.0] * 6, "upper_triangle"),
+            ("upper_triangle", [0.0] * 2, "upper_triangle"),
+            ("upper_triangle", 0.0, "upper_triangle"),
+        ],
+    )
+    def test_json_fields_are_checked(self, field, value, message):
+        data = json.loads(IqpWeights.random(2, stream_rng(2)).to_json())
+        data[field] = value
+        with pytest.raises(InvalidParameterError, match=message):
+            IqpWeights.from_json(json.dumps(data))
+
 
 class TestFwht:
     def test_matches_hadamard_matrix(self):
@@ -179,6 +203,38 @@ class TestIqpDistribution:
         assert mine.tobytes() == (oracle / oracle.sum()).tobytes()
 
 
+def _concatenated_phases(*weights):
+    """Oracle: the doubling with theta + a and theta - a built as new arrays and concatenated."""
+    rev = np.stack([w.w for w in weights])[:, ::-1, ::-1]
+    theta = np.zeros((len(weights), 1))
+    acc = np.diagonal(rev, axis1=1, axis2=2)[:, :, None]
+    for i in range(rev.shape[1]):
+        a, acc = acc[:, 0], acc[:, 1:]
+        theta = np.concatenate((theta + a, theta - a), axis=1)
+        col = rev[:, i + 1 :, i, None]
+        acc = np.concatenate((acc + col, acc - col), axis=2)
+    return theta
+
+
+class TestPhases:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_same_bits_as_the_concatenated_doubling(self, n):
+        weights = [IqpWeights.random(n, stream_rng(19, n, j)) for j in range(3)]
+        assert qsim._phases(*weights).tobytes() == _concatenated_phases(*weights).tobytes()
+        assert qsim._phases(weights[1]).tobytes() == _concatenated_phases(weights[1]).tobytes()
+
+    def test_peak_memory(self):
+        w = IqpWeights.random(16, stream_rng(1))
+        tracemalloc.start()
+        try:
+            qsim._phases(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # theta (8 B per entry) and the accumulator's last levels; the concatenated doubling reads 24
+        assert peak < 21 * 2**16
+
+
 class TestHaar:
     def test_d1_is_phase(self):
         u = haar_unitary(1, stream_rng(8))
@@ -237,8 +293,11 @@ class TestHaarStateDistribution:
         (lambda n: haar_state_distribution(n, stream_rng(2)), 32),
         # cos(theta) and sin(theta) written over theta, then the same abs chunk
         (lambda n: iqp_output_distribution(IqpWeights.random(n, stream_rng(1))), 32),
+        # the complex state and the buffer each gate is written into; the spare one is released
+        # before the abs chunk and the ProbVec copy of the strided real row
+        (lambda n: local_random_circuit_distribution(n, 20, stream_rng(3)), 32),
     ],
-    ids=["haar", "iqp"],
+    ids=["haar", "iqp", "local_random"],
 )
 def test_single_instance_peak_memory(simulate, per_entry):
     n = 16
@@ -280,6 +339,13 @@ class TestLocalRandomCircuit:
         assert (local_random_circuit_distribution(n, depth, stream_rng(seed)).entries.tobytes()
                 == _per_gate_circuit(n, depth, stream_rng(seed)).entries.tobytes())
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("depth", [1, 5, 40])
+    def test_matches_dense_kronecker_oracle(self, n, depth):
+        for seed in range(5):
+            mine = local_random_circuit_distribution(n, depth, stream_rng(seed)).entries
+            assert np.max(np.abs(mine - _dense_circuit(n, depth, stream_rng(seed)))) <= 1e-13
+
 
 def _per_gate_haar_unitary(d, rng):
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
@@ -293,13 +359,23 @@ def _per_gate_circuit(n, depth, rng):
     psi = np.zeros(2**n, dtype=np.complex128)
     psi[0] = 1.0
     for _ in range(depth):
-        if n == 1:
-            psi = _per_gate_haar_unitary(2, rng) @ psi
-        else:
-            q = int(rng.integers(0, n - 1))
-            psi = qsim._apply_two_qubit_gate(psi, _per_gate_haar_unitary(4, rng), q, n)
+        q = int(rng.integers(0, n - 1)) if n > 1 else 0
+        gate = _per_gate_haar_unitary(2 if n == 1 else 4, rng)
+        psi = np.matmul(gate, psi.reshape(2**q, gate.shape[0], -1)).reshape(-1)
     a = np.abs(psi) ** 2
     return ProbVec(a / a.sum())
+
+
+def _dense_circuit(n, depth, rng):
+    """Oracle: each gate as the 2^n x 2^n matrix I_{2^q} (x) G (x) I_rest, applied to the state."""
+    psi = np.zeros(2**n, dtype=np.complex128)
+    psi[0] = 1.0
+    for _ in range(depth):
+        q = int(rng.integers(0, n - 1)) if n > 1 else 0
+        gate = haar_unitary(2 if n == 1 else 4, rng)
+        rest = 2**n // (2**q * gate.shape[0])
+        psi = np.kron(np.kron(np.eye(2**q), gate), np.eye(rest)) @ psi
+    return np.abs(psi) ** 2
 
 
 def _zero_run(lead, mass, run, trail):
