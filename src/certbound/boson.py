@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .distvec import ProbVec, _fsum
-from .errors import InvalidParameterError, ResourceLimitError, MAX_OUTCOMES
+from .errors import InvalidParameterError, ResourceLimitError, MAX_OUTCOMES, read_instance_json
 from .qsim import haar_unitary
 from .rng import stream_rng
 
@@ -77,7 +77,7 @@ class BosonInstance:
         U = np.asarray(self.U, dtype=np.complex128)
         if U.shape != (self.m, self.m):
             raise InvalidParameterError("U must be m x m")
-        if np.max(np.abs(U.conj().T @ U - np.eye(self.m))) > 1e-10:
+        if not np.max(np.abs(U.conj().T @ U - np.eye(self.m))) <= 1e-10:  # so NaN entries fail too
             raise InvalidParameterError("U is not unitary to 1e-10")
         U = U.copy()
         U.flags.writeable = False
@@ -95,12 +95,9 @@ class BosonInstance:
 
     @staticmethod
     def from_json(text: str) -> "BosonInstance":
-        data = json.loads(text)
+        data = read_instance_json(text, ("n", "m"), ("U_re_im",))
         n, m, flat = data["n"], data["m"], data["U_re_im"]
-        for name, value in (("n", n), ("m", m)):
-            if type(value) is not int or value < 1:  # bool is a subclass of int
-                raise InvalidParameterError(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(flat, list) or len(flat) != 2 * m * m:
+        if len(flat) != 2 * m * m:
             raise InvalidParameterError(f"U_re_im must hold 2 m^2 = {2 * m * m} numbers")
         flat = np.asarray(flat, dtype=np.float64)
         U = (flat[0::2] + 1j * flat[1::2]).reshape(m, m)

@@ -36,6 +36,14 @@ def _sweep(ensemble, num_instances: int, stat) -> np.ndarray:
     return np.array(list(map(stat, ensemble.distributions(num_instances))))
 
 
+def _fraction_std_error(fraction: float, num_instances: int) -> float:
+    """Standard error of a fraction of num_instances draws, sqrt(max(f(1-f), 1/N) / N).
+
+    The 1/N floor keeps it positive where the fraction is 0 or 1.
+    """
+    return math.sqrt(max(fraction * (1.0 - fraction), 1.0 / num_instances) / num_instances)
+
+
 def _collision(p: ProbVec) -> float:
     """sum_S P(S)^2 (= 2^-H2), with the squares taken chunk by chunk inside the sum."""
     return _fsum(p.entries, 2.0)
@@ -80,6 +88,8 @@ class TailCheckReport:
     delta: float
     num_instances: int
     moment_sum: float
+    std_error: float  # of violation_fraction
+    seed: int
 
 
 def min_entropy_tail_check(ensemble, delta: float, num_instances: int) -> TailCheckReport:
@@ -92,12 +102,15 @@ def min_entropy_tail_check(ensemble, delta: float, num_instances: int) -> TailCh
     entropies, collisions = _sweep(ensemble, num_instances, lambda p: (min_entropy(p), _collision(p))).T
     ms = float(np.mean(collisions))
     bound = 0.5 * (math.log2(delta) - math.log2(ms))
+    violations = float(np.mean(entropies < bound))
     return TailCheckReport(
         bound_bits=bound,
-        violation_fraction=float(np.mean(entropies < bound)),
+        violation_fraction=violations,
         delta=delta,
         num_instances=num_instances,
         moment_sum=ms,
+        std_error=_fraction_std_error(violations, num_instances),
+        seed=ensemble.seed,
     )
 
 
@@ -112,6 +125,7 @@ class AntiConcentrationReport:
     outcome: int
     num_instances: int
     passed: bool
+    seed: int
 
 
 def anti_concentration_check(
@@ -134,7 +148,7 @@ def anti_concentration_check(
     mean_z = 1.0 / dim
     second = float(np.mean(values**2))
     gamma_hat = float(np.mean(values >= alpha / dim))
-    se = math.sqrt(max(gamma_hat * (1.0 - gamma_hat), 1.0 / num_instances) / num_instances)
+    se = _fraction_std_error(gamma_hat, num_instances)
     floor = (1.0 - alpha) ** 2 * mean_z**2 / second if second > 0 else 0.0
     return AntiConcentrationReport(
         alpha=alpha,
@@ -144,4 +158,5 @@ def anti_concentration_check(
         outcome=outcome,
         num_instances=num_instances,
         passed=gamma_hat >= floor - 4.0 * se,
+        seed=ensemble.seed,
     )

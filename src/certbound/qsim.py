@@ -9,7 +9,8 @@ imaginary, no larger than 8 MiB each at the 2^20 cap: IQP takes cos and sin
 of its phases and transforms each in place, and Haar states are the real and
 imaginary Gaussians as drawn.  A local random circuit applies each gate as one
 broadcast matmul from one complex state buffer into another, allocated once.
-`_row_probabilities` is the one place where |a|^2 is formed.
+`_row_probabilities` is the one place where |a|^2 is formed, as re^2 + im^2
+in place, so IQP and Haar-state simulation allocates no complex array at all.
 
 `CircuitEnsemble.distributions(count)` simulates IQP and Haar-state
 instances whose 2^n is below _BATCH_ENTRIES (2^14) in batches of
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distvec import ProbVec
-from .errors import InvalidParameterError, ResourceLimitError, MAX_QUBITS
+from .errors import InvalidParameterError, ResourceLimitError, MAX_QUBITS, read_instance_json
 from .rng import stream_rng
 
 DEFAULT_ANGLE_SET = tuple(k * math.pi / 8 for k in range(8))
@@ -89,11 +90,9 @@ class IqpWeights:
 
     @staticmethod
     def from_json(text: str) -> "IqpWeights":
-        data = json.loads(text)
+        data = read_instance_json(text, ("n",), ("angle_set", "upper_triangle"))
         n, upper = data["n"], data["upper_triangle"]
-        if type(n) is not int or n < 1:  # bool is a subclass of int
-            raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
-        if not isinstance(upper, list) or len(upper) != n * (n + 1) // 2:
+        if len(upper) != n * (n + 1) // 2:
             raise InvalidParameterError(f"upper_triangle must hold n(n+1)/2 = {n * (n + 1) // 2} weights")
         w = np.zeros((n, n))
         w[np.triu_indices(n)] = w.T[np.triu_indices(n)] = upper
@@ -164,12 +163,6 @@ def _check_qubits(n: int):
     if n > MAX_QUBITS:
         raise ResourceLimitError(f"n = {n} exceeds the configured maximum of {MAX_QUBITS} qubits")
 
-
-# Entries of the one complex scratch chunk through which _row_probabilities takes |a|: 1 MiB.
-# Every other amplitude array is a float64 row, 8 MiB at the 2^20 cap.  glibc raises its mmap
-# threshold to the largest block freed, so one 16 MiB array would move every later 8-16 MiB
-# array onto the heap, whose resident size then depends on allocation order.
-_ABS_CHUNK = 1 << 16
 
 # Entries of one batch of small instances in CircuitEnsemble.distributions: its real and
 # imaginary arrays are 128 KiB each, so a sweep's peak memory does not grow with its instance
@@ -256,18 +249,13 @@ def _phases(*weights: IqpWeights) -> np.ndarray:
 def _row_probabilities(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """|a|^2 / sum |a|^2 for each row a = re + i im along the last axis, written over `re`.
 
-    |a| is numpy's complex abs, taken one _ABS_CHUNK at a time through one
-    reused complex scratch array: np.hypot(re, im) differs from it in the last
-    bit.  Each row is divided by its own sum, which has the bits of np.sum on
-    that row alone.
+    |a|^2 is re^2 + im^2, squared in place in both arrays (`im` is left
+    holding im^2), so nothing of the rows' size is allocated and no complex
+    array is formed.  Each row is divided by its own sum, which has the bits
+    of np.sum on that row alone.
     """
-    flat_re, flat_im = re.reshape(-1), im.reshape(-1)
-    z = np.empty(min(flat_re.size, _ABS_CHUNK), dtype=complex)
-    for i in range(0, flat_re.size, _ABS_CHUNK):
-        chunk = z[: min(flat_re.size - i, _ABS_CHUNK)]
-        chunk.real, chunk.imag = flat_re[i : i + chunk.size], flat_im[i : i + chunk.size]
-        np.abs(chunk, out=flat_re[i : i + chunk.size])
     np.square(re, out=re)
+    re += np.square(im, out=im)
     re /= re.sum(axis=-1, keepdims=True)
     return re
 

@@ -66,6 +66,7 @@ class TestBosonInstance:
             ("U_re_im", [0.0] * 5, "U_re_im"),
             ("U_re_im", [0.0] * 19, "U_re_im"),
             ("U_re_im", "0", "U_re_im"),
+            ("U_re_im", [float("nan")] * 18, "not unitary"),
         ],
     )
     def test_json_fields_are_checked(self, field, value, message):

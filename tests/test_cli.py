@@ -276,6 +276,8 @@ class TestMonteCarloCommands:
         data = json.loads(out)
         assert code == 0
         assert data["violation_fraction"] <= 0.2 + 4 * math.sqrt(0.2 * 0.8 / 300)
+        f = data["violation_fraction"]
+        assert data["std_error"] == math.sqrt(max(f * (1 - f), 1 / 300) / 300) and data["seed"] == 2
 
     def test_anticoncentration(self, capsys):
         code, out, _ = run(
@@ -284,7 +286,7 @@ class TestMonteCarloCommands:
         )
         data = json.loads(out)
         assert code == 0
-        assert data["passed"]
+        assert data["passed"] and data["seed"] == 2 and data["std_error"] > 0
 
 
 class TestCertify:

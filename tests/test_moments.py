@@ -196,6 +196,15 @@ class TestMinEntropyTailCheck:
             se = math.sqrt(delta * (1 - delta) / 1000)
             assert rep.violation_fraction <= delta + 4 * se
 
+    def test_std_error_and_seed(self):
+        rep = min_entropy_tail_check(CircuitEnsemble(kind="haar_state", n=2, seed=13), delta=1.0, num_instances=400)
+        f = rep.violation_fraction
+        assert 0 < f < 1 and rep.seed == 13
+        assert rep.std_error == math.sqrt(f * (1 - f) / 400)
+        # no violation: the SE is floored at that of one in N
+        rep = min_entropy_tail_check(fixed_ensemble(ProbVec.uniform(16)), delta=0.2, num_instances=100)
+        assert rep.violation_fraction == 0.0 and rep.std_error == pytest.approx(0.01, rel=1e-15)
+
     def test_validation(self):
         e = CircuitEnsemble(kind="haar_state", n=2, seed=0)
         with pytest.raises(InvalidParameterError):
@@ -221,6 +230,14 @@ class TestAntiConcentration:
             assert rep.passed
             analytic = (1 - alpha) ** 2 * (d + 1) / (2 * d)
             assert rep.floor == pytest.approx(analytic, rel=0.2)
+
+    def test_std_error_and_seed(self):
+        rep = anti_concentration_check(CircuitEnsemble(kind="haar_state", n=4, seed=17), alpha=0.5, num_instances=400)
+        g = rep.gamma_hat
+        assert 0 < g < 1 and rep.seed == 17
+        assert rep.std_error == math.sqrt(g * (1 - g) / 400)
+        rep = anti_concentration_check(fixed_ensemble(ProbVec.point_mass(8, 0)), alpha=0.5, num_instances=100)
+        assert rep.gamma_hat == 1.0 and rep.std_error == pytest.approx(0.01, rel=1e-15) and rep.seed == 0
 
     def test_alpha_near_one_floor_vanishes(self):
         e = CircuitEnsemble(kind="haar_state", n=3, seed=19)

@@ -12,6 +12,7 @@ from scipy.stats import kstest
 
 from certbound import (
     BosonEnsemble,
+    BosonInstance,
     CircuitEnsemble,
     IqpWeights,
     ProbVec,
@@ -122,6 +123,49 @@ class TestIqpWeights:
             IqpWeights.from_json(json.dumps(data))
 
 
+_IQP_JSON = IqpWeights.random(2, stream_rng(2)).to_json()
+_BOSON_JSON = BosonInstance.haar(2, 3, stream_rng(1)).to_json()
+
+
+def _without(text, field):
+    data = json.loads(text)
+    del data[field]
+    return json.dumps(data)
+
+
+def _with(text, field, value):
+    return json.dumps({**json.loads(text), field: value})
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        (IqpWeights.from_json, "[1]", "must be an object with fields n, angle_set, upper_triangle"),
+        (IqpWeights.from_json, '"s"', "must be an object"),
+        (IqpWeights.from_json, "null", "must be an object"),
+        (IqpWeights.from_json, _without(_IQP_JSON, "angle_set"), "no field angle_set"),
+        (IqpWeights.from_json, _without(_IQP_JSON, "n"), "no field n"),
+        (IqpWeights.from_json, _with(_IQP_JSON, "angle_set", "ab"), "angle_set must be a list of numbers"),
+        (IqpWeights.from_json, _with(_IQP_JSON, "angle_set", 3), "angle_set must be a list of numbers"),
+        (IqpWeights.from_json, _with(_IQP_JSON, "angle_set", [0.0, True]), "angle_set must be a list of numbers"),
+        (IqpWeights.from_json, _with(_IQP_JSON, "upper_triangle", ["0", 0, 0]), "upper_triangle must be a list"),
+        (IqpWeights.from_json, _with(_IQP_JSON, "upper_triangle", [None, 0, 0]), "upper_triangle must be a list"),
+        (BosonInstance.from_json, "[1]", "must be an object with fields n, m, U_re_im"),
+        (BosonInstance.from_json, _without(_BOSON_JSON, "U_re_im"), "no field U_re_im"),
+        (BosonInstance.from_json, _without(_BOSON_JSON, "m"), "no field m"),
+        (BosonInstance.from_json, _with(_BOSON_JSON, "U_re_im", [False] * 18), "U_re_im must be a list of numbers"),
+    ],
+    ids=[
+        "iqp-list", "iqp-string", "iqp-null", "iqp-no-angle_set", "iqp-no-n", "iqp-angle_set-string",
+        "iqp-angle_set-int", "iqp-angle_set-bool", "iqp-upper_triangle-string", "iqp-upper_triangle-null",
+        "boson-list", "boson-no-U_re_im", "boson-no-m", "boson-U_re_im-bools",
+    ],
+)
+def test_instance_readers_name_the_field_at_fault(reader, text, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        reader(text)
+
+
 class TestFwht:
     def test_matches_hadamard_matrix(self):
         rng = stream_rng(3)
@@ -194,13 +238,19 @@ class TestIqpDistribution:
             iqp_output_distribution(IqpWeights(21, (0.0,), np.zeros((21, 21))))
 
     @pytest.mark.parametrize("n", [1, 4, 7])
-    def test_same_bits_as_the_complex_formula(self, n, monkeypatch):
-        # a 24-entry abs chunk, not a power of two, so the last chunk is a short one
-        monkeypatch.setattr(qsim, "_ABS_CHUNK", 24)
+    def test_same_bits_as_re_squared_plus_im_squared(self, n):
         w = IqpWeights.random(n, stream_rng(14, n))
-        oracle = np.abs(fwht(np.exp(1j * qsim._phases(w)))) ** 2
+        a = fwht(np.exp(1j * qsim._phases(w)[0]))
         mine = iqp_output_distribution(w).entries
-        assert mine.tobytes() == (oracle / oracle.sum()).tobytes()
+        _assert_is_re_squared_plus_im_squared(mine, a)
+
+
+def _assert_is_re_squared_plus_im_squared(p, a):
+    """p has the bits of (re^2 + im^2) / sum over the amplitudes a, and is |a|^2 / sum to 2e-15 relative."""
+    q = a.real**2 + a.imag**2
+    assert p.tobytes() == (q / q.sum()).tobytes()
+    c = np.abs(a) ** 2
+    assert np.allclose(p, c / c.sum(), rtol=2e-15, atol=0)
 
 
 def _concatenated_phases(*weights):
@@ -270,13 +320,11 @@ class TestHaarStateDistribution:
         assert p.normalized
 
     @pytest.mark.parametrize("n", [1, 6, 9])
-    def test_same_bits_as_the_complex_formula(self, n, monkeypatch):
-        monkeypatch.setattr(qsim, "_ABS_CHUNK", 24)
+    def test_same_bits_as_re_squared_plus_im_squared(self, n):
         rng = stream_rng(15, n)
         psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-        oracle = np.abs(psi) ** 2
         mine = haar_state_distribution(n, stream_rng(15, n)).entries
-        assert mine.tobytes() == (oracle / oracle.sum()).tobytes()
+        _assert_is_re_squared_plus_im_squared(mine, psi)
 
     def test_single_qubit_second_moment(self):
         # E[P(0)^2] = 2/(D(D+1)) = 1/3 at D=2
@@ -286,15 +334,25 @@ class TestHaarStateDistribution:
         assert abs(draws.mean() - 1.0 / 3.0) < 4 * se
 
 
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_row_probabilities_of_a_batch_and_of_a_strided_state(n):
+    rng = stream_rng(21, n)
+    re, im = rng.standard_normal((5, 2**n)), rng.standard_normal((5, 2**n))
+    rows = [qsim._row_probabilities(re[j].copy(), im[j].copy()).tobytes() for j in range(5)]
+    assert qsim._row_probabilities(re.copy(), im.copy()).tobytes() == b"".join(rows)
+    psi = re[0] + 1j * im[0]
+    assert qsim._row_probabilities(psi.real, psi.imag).tobytes() == rows[0]
+
+
 @pytest.mark.parametrize(
     "simulate, per_entry",
     [
-        # the re and im rows, then the complex abs chunk (2^16 entries, 16 B per entry at n = 16)
-        (lambda n: haar_state_distribution(n, stream_rng(2)), 32),
-        # cos(theta) and sin(theta) written over theta, then the same abs chunk
-        (lambda n: iqp_output_distribution(IqpWeights.random(n, stream_rng(1))), 32),
+        # the re and im rows, squared in place
+        (lambda n: haar_state_distribution(n, stream_rng(2)), 16),
+        # the phase build, then cos(theta) and sin(theta) written over theta, each transformed in place
+        (lambda n: iqp_output_distribution(IqpWeights.random(n, stream_rng(1))), 26),
         # the complex state and the buffer each gate is written into; the spare one is released
-        # before the abs chunk and the ProbVec copy of the strided real row
+        # before the ProbVec copy of the strided real row
         (lambda n: local_random_circuit_distribution(n, 20, stream_rng(3)), 32),
     ],
     ids=["haar", "iqp", "local_random"],
@@ -362,7 +420,7 @@ def _per_gate_circuit(n, depth, rng):
         q = int(rng.integers(0, n - 1)) if n > 1 else 0
         gate = _per_gate_haar_unitary(2 if n == 1 else 4, rng)
         psi = np.matmul(gate, psi.reshape(2**q, gate.shape[0], -1)).reshape(-1)
-    a = np.abs(psi) ** 2
+    a = psi.real**2 + psi.imag**2
     return ProbVec(a / a.sum())
 
 
