@@ -27,15 +27,15 @@ from .rng import stream_rng
 _CHUNK_ENTRIES = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModeOccupation:
     """Occupation numbers of m modes holding n photons in total."""
 
     s: tuple
 
     def __post_init__(self):
-        s = tuple(int(x) for x in self.s)
-        if len(s) < 1 or any(x < 0 for x in s):
+        s = tuple(map(int, self.s))
+        if not s or min(s) < 0:
             raise InvalidParameterError("occupations must be non-negative integers")
         object.__setattr__(self, "s", s)
 
@@ -52,15 +52,20 @@ class ModeOccupation:
         return all(x <= 1 for x in self.s)
 
     def __str__(self) -> str:
-        return _occupation_text(np.array([self.s]))[0]
+        return _row_text(self.s)
+
+
+def _row_text(row) -> str:
+    """One outcome's occupation numbers as text: its digits, or the numbers joined by commas if one exceeds 9."""
+    return ("," if max(row) > 9 else "").join(map(str, row))
 
 
 def _occupation_text(occ: np.ndarray) -> list[str]:
-    """Each row of an (outcomes, m) array of occupation numbers as text: its digits, or its numbers
-    joined by commas where one of them exceeds 9."""
-    if occ.max(initial=0) <= 9:
-        return (occ.astype(np.uint8) + ord("0")).view(f"S{occ.shape[1]}").ravel().astype(str).tolist()
-    return ["".join(map(str, row)) if max(row) <= 9 else ",".join(map(str, row)) for row in occ.tolist()]
+    """_row_text of each row of an (outcomes, m) array of occupation numbers."""
+    if occ.max() <= 9:  # occ has a row at least: _counts yields no empty chunk
+        text, m = (occ.astype(np.uint8) + ord("0")).tobytes().decode("ascii"), occ.shape[1]
+        return [text[i : i + m] for i in range(0, len(text), m)]
+    return list(map(_row_text, occ.tolist()))
 
 
 @dataclass(frozen=True)
@@ -124,16 +129,22 @@ class OutcomeSpace(Sequence):
     def __getitem__(self, i: int) -> ModeOccupation:
         return ModeOccupation(tuple(np.bincount(self.rows[i], minlength=self.m)))
 
-    def labels(self) -> list[str]:
-        """str() of every outcome, in order, counted from the rows a chunk at a time rather than one
-        object each."""
+    def _counts(self):
+        """The outcomes' occupation numbers, in order, as (outcomes, m) arrays counted a chunk of rows at once."""
         step = max(1, _CHUNK_ENTRIES // self.m)
-        out = []
+        first_cell = np.arange(step)[:, None] * self.m  # of each row's counts in a chunk's flat count array
         for i in range(0, len(self.rows), step):
             rows = self.rows[i : i + step]
-            cell = (np.arange(len(rows))[:, None] * self.m + rows).ravel()
-            out += _occupation_text(np.bincount(cell, minlength=len(rows) * self.m).reshape(-1, self.m))
-        return out
+            cell = (first_cell[: len(rows)] + rows).ravel()
+            yield np.bincount(cell, minlength=len(rows) * self.m).reshape(-1, self.m)
+
+    def __iter__(self):
+        for counts in self._counts():
+            yield from map(ModeOccupation, counts.tolist())
+
+    def labels(self) -> list[str]:
+        """str() of every outcome, in order, without an object each."""
+        return list(itertools.chain.from_iterable(map(_occupation_text, self._counts())))
 
 
 def enumerate_phi(m: int, n: int, collision_free_only: bool = False) -> list[ModeOccupation]:

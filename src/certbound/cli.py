@@ -196,14 +196,15 @@ def cmd_simulate(args):
     if args.csv:
         dist, outcomes = boson_distribution(ens.instance(0))
         lines = ["occupation,probability"]
-        lines += [f"{occ},{prob}" for occ, prob in zip(outcomes.labels(), join_reprs(dist.entries, "\n").split("\n"))]
+        lines += [f"{occ},{prob}" for occ, prob in zip(outcomes.labels(), join_reprs(dist.entries).split(", "))]
         return "\n".join(lines) + "\n"
     dist = ens.instance_distribution(0)
     return dist.to_bytes() if args.out and args.out.endswith(".pvec") else dist.to_json()
 
 
 def cmd_moments(args):
-    return json.dumps(asdict(estimate_second_moments(_make_ensemble(args), args.instances, name=args.ensemble)))
+    report = estimate_second_moments(_make_ensemble(args), args.instances)
+    return json.dumps({**asdict(report), "ensemble": args.ensemble})
 
 
 def cmd_tail_check(args):
@@ -393,7 +394,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
-    except (InvalidParameterError, OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (InvalidParameterError, OSError, KeyError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

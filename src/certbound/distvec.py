@@ -158,12 +158,13 @@ class ProbVec:
         shortest-digit algorithm (Adams, PLDI 2018); the entries outside the
         kernel's range (-0.0, subnormals, values >= 2^50) take repr itself.
         """
-        return "[" + join_reprs(self.entries, ", ") + "]"
+        return "[" + join_reprs(self.entries) + "]"
 
     @staticmethod
     def from_json(text: str) -> "ProbVec":
         data = json.loads(text)
-        if not isinstance(data, list):
+        # json.loads gives a number as int or float; bool is a subclass of int, but not int itself
+        if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
             raise InvalidParameterError("JSON payload must be an array of numbers")
         return ProbVec(np.asarray(data, dtype=np.float64))
 

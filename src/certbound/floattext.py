@@ -1,7 +1,8 @@
 """Python's float repr of a whole float64 array at once.
 
-`join_reprs(x, sep)` is `sep.join(map(repr, x.tolist()))`, computed in
-numpy, one chunk of 2^12 entries at a time:
+`join_reprs(x)` is `", ".join(map(repr, x.tolist()))`, the text that
+`json.dumps(x.tolist())` writes between its brackets, computed in numpy,
+one chunk of 2^12 entries at a time:
 
 1. Digits.  Ryu (Adams, "Ryu: fast float-to-string conversion", PLDI
    2018), branch e2 < 0, gives the shortest round-trip digits and decimal
@@ -14,7 +15,7 @@ numpy, one chunk of 2^12 entries at a time:
 2. Layout.  The 17 digits fill fixed-width, NUL-padded uint8 rows through a
    4-digit table.  Byte masks per template (digit count and point position)
    keep each digit before or after the '.', and static text per decimal
-   exponent adds '0.000', 'e-05' and sep.
+   exponent adds '0.000', 'e-05' and the ', ' after each entry.
 3. Compress.  One boolean compress per chunk drops the NULs.
 
 Every other entry (-0.0, subnormals, negatives, values >= 2^50, inf, nan)
@@ -32,7 +33,7 @@ _CHUNK = 1 << 12  # ~1.5 MiB of temporaries a chunk; 2^13 ran as fast but left t
 _M32 = np.uint64(0xFFFFFFFF)
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 _FAST = (np.uint64(1 << 52), np.uint64(1073 << 52))  # the bits of positive normal doubles below 2^50
-_WIDTH = 30  # row bytes: 2..6 '0.000', 7..24 digits and '.', 25..29 'e-308'; sep follows
+_WIDTH = 30  # text bytes: 2..6 '0.000', 7..24 digits and '.', 25..29 'e-308'; ', ' follows, so a row is 4 words
 _NO_POINT = 99  # a '.' position that no row reaches
 _SCI = 17  # the point class of scientific notation; fixed notation has -3 <= point <= 16
 _POINT0 = 330  # the static text of decimal point position p is row p + _POINT0
@@ -57,8 +58,8 @@ def _scale_table():
 
 
 def _row_tables():
-    """Byte masks per template (digit count, point class) and static text per point, _WIDTH bytes a row."""
-    b = np.arange(_WIDTH)
+    """Byte masks per template (digit count, point class) and static text per point, as uint64 rows."""
+    b = np.arange(_WIDTH + 2)
     count = np.arange(17 * 21) // 21 + 1
     point = np.arange(17 * 21) % 21 - 3
     sci = point == _SCI
@@ -80,7 +81,8 @@ def _row_tables():
     )
     fixed = np.where(small, np.where(b == start + 1, ord("."), ord("0")), 0)
     static = np.where((point <= -4) | (point > 16), suffix, fixed)
-    return [a.astype(np.uint8) for a in (before * 0xFF, after * 0xFF, dot, static)]
+    static[:, _WIDTH:] = np.frombuffer(b", ", np.uint8)
+    return [a.astype(np.uint8).view(np.uint64) for a in (before * 0xFF, after * 0xFF, dot, static)]
 
 
 _SCALE, _E10 = _scale_table()
@@ -146,9 +148,9 @@ def _shortest(bits):
     return digits, _E10[e] + removed
 
 
-def _layout(digits, exp, tables):
-    """NUL-padded text rows of the values digits * 10^exp in repr's layout, each followed by sep."""
-    before, after, dot, static = tables
+def _layout(digits, exp):
+    """NUL-padded text rows of the values digits * 10^exp in repr's layout, each followed by ', '."""
+    before, after, dot, static = _ROW_TABLES
     count = np.searchsorted(_POW10[1:18], digits, side="right") + 1
     point = count + exp  # the value is 0.d1d2... * 10^point
     template = (count - 1) * 21 + np.where((point <= -4) | (point > 16), _SCI, point) + 3
@@ -170,38 +172,30 @@ def _layout(digits, exp, tables):
     return rows.view(np.uint8)
 
 
-def join_reprs(x: np.ndarray, sep: str) -> str:
-    """sep.join(map(repr, x.tolist())) for a 1-D float64 array x and an ASCII sep without NUL."""
-    # the row tables, widened to a whole number of uint64 words with sep after the text
-    sep_bytes = sep.encode("ascii")
-    width = -(-(_WIDTH + len(sep_bytes)) // 8) * 8
-    tables = [np.zeros((t.shape[0], width), np.uint8) for t in _ROW_TABLES]
-    for wide, t in zip(tables, _ROW_TABLES):
-        wide[:, :_WIDTH] = t
-    tables[3][:, _WIDTH : _WIDTH + len(sep_bytes)] = np.frombuffer(sep_bytes, np.uint8)
-    tables = [t.view(np.uint64) for t in tables]
-    pieces = [_chunk_text(x[i : i + _CHUNK], tables, len(sep_bytes)) for i in range(0, x.size, _CHUNK)]
-    if pieces and sep_bytes:  # every row ends in sep; the text does not
-        pieces[-1] = pieces[-1][: len(pieces[-1]) - len(sep_bytes)]
+def join_reprs(x: np.ndarray) -> str:
+    """", ".join(map(repr, x.tolist())) for a 1-D float64 array x: json.dumps's text between its brackets."""
+    pieces = [_chunk_text(x[i : i + _CHUNK]) for i in range(0, x.size, _CHUNK)]
+    if pieces:  # every row ends in ', '; the text does not
+        pieces[-1] = pieces[-1][:-2]
     return "".join(pieces)
 
 
-def _chunk_text(x, tables, sep_size):
-    """The reprs of one chunk, each followed by sep."""
+def _chunk_text(x):
+    """The reprs of one chunk, each followed by ', '."""
     chunk = np.ascontiguousarray(x, dtype=np.float64)
     bits = chunk.view(np.uint64)
     fast = (bits >= _FAST[0]) & (bits < _FAST[1])
     digits, exp = _shortest(np.where(fast, bits, _FAST[0]))
     zero = bits == 0
     digits[zero], exp[zero] = 0, 0
-    rows = _layout(digits, exp, tables)
+    rows = _layout(digits, exp)
     other = np.flatnonzero(~(fast | zero))
-    rows[other, :_WIDTH] = 0  # these rows keep only sep; repr's text goes in front of it
+    rows[other, :_WIDTH] = 0  # these rows keep only ', '; repr's text goes in front of it
     text = rows[rows != 0].tobytes().decode("ascii")
     if not other.size:
         return text
     pieces, done = [], 0
-    at = np.cumsum(np.count_nonzero(rows, axis=1))[other] - sep_size
+    at = np.cumsum(np.count_nonzero(rows, axis=1))[other] - 2
     for k, cut in zip(other.tolist(), at.tolist()):
         pieces += [text[done:cut], repr(float(chunk[k]))]
         done = cut

@@ -64,14 +64,11 @@ class MomentEstimate:
             raise InvalidParameterError("std_error must be >= 0")
 
 
-def estimate_second_moments(ensemble, num_instances: int, name: str = "") -> MomentEstimate:
-    """Average of sum_S P(S)^2 over `num_instances` fresh instances.
-
-    The report is named `name`, or the ensemble's kind, and carries the ensemble's seed.
-    """
+def estimate_second_moments(ensemble, num_instances: int) -> MomentEstimate:
+    """Average of sum_S P(S)^2 over `num_instances` fresh instances, named by the ensemble's kind and seed."""
     collisions = _sweep(ensemble, num_instances, _collision)
     return MomentEstimate(
-        ensemble=name or ensemble.kind,
+        ensemble=ensemble.kind,
         num_instances=num_instances,
         sum_second_moments=float(np.mean(collisions)),
         std_error=float(np.std(collisions, ddof=1) / math.sqrt(num_instances)),
@@ -122,19 +119,14 @@ class AntiConcentrationReport:
     gamma_hat: float
     floor: float
     std_error: float
-    outcome: int
+    outcome: int  # always 0, the outcome tested
     num_instances: int
     passed: bool
     seed: int
 
 
-def anti_concentration_check(
-    ensemble,
-    alpha: float,
-    num_instances: int,
-    outcome: int = 0,
-) -> AntiConcentrationReport:
-    """Estimate Pr[P(S) >= alpha / |E|] for fixed S and compare to (1-alpha)^2 E[Z]^2 / E[Z^2].
+def anti_concentration_check(ensemble, alpha: float, num_instances: int) -> AntiConcentrationReport:
+    """Estimate Pr[P(S) >= alpha / |E|] for outcome S = 0 and compare to (1-alpha)^2 E[Z]^2 / E[Z^2].
 
     E[Z] is 1/|E| (the tested ensembles are unbiased over outcomes); the
     second moment in the floor is estimated from the same instances.
@@ -142,9 +134,7 @@ def anti_concentration_check(
     if not 0 < alpha < 1:
         raise InvalidParameterError("alpha must be in (0, 1)")
     dim = ensemble.sample_space_size
-    if not 0 <= outcome < dim:
-        raise InvalidParameterError("outcome index out of range")
-    values = _sweep(ensemble, num_instances, lambda p: p.entries[outcome])
+    values = _sweep(ensemble, num_instances, lambda p: p.entries[0])
     mean_z = 1.0 / dim
     second = float(np.mean(values**2))
     gamma_hat = float(np.mean(values >= alpha / dim))
@@ -155,7 +145,7 @@ def anti_concentration_check(
         gamma_hat=gamma_hat,
         floor=floor,
         std_error=se,
-        outcome=outcome,
+        outcome=0,
         num_instances=num_instances,
         passed=gamma_hat >= floor - 4.0 * se,
         seed=ensemble.seed,

@@ -108,6 +108,15 @@ class TestEnumeratePhi:
                 assert space.labels() == [str(o) for o in space]
         assert OutcomeSpace(3, 12).labels()[:3] == ["12,0,0", "11,1,0", "11,0,1"]
 
+    @pytest.mark.parametrize("chunk", [1 << 16, 7])
+    def test_iteration_counts_the_rows_that_indexing_does(self, chunk, monkeypatch):
+        monkeypatch.setattr(boson, "_CHUNK_ENTRIES", chunk)
+        for m, n in [(3, 2), (16, 2), (1, 0), (4, 0), (2, 10), (3, 12), (6, 5), (2, 3)]:
+            for free in (False, True):
+                space = OutcomeSpace(m, n, free)
+                assert list(space) == [space[i] for i in range(len(space))]
+        assert [str(o) for o in OutcomeSpace(2, 10)][:2] == ["10,0", "91"]
+
     def test_n_exceeding_m_collision_free_empty(self):
         assert enumerate_phi(2, 3, collision_free_only=True) == []
 

@@ -268,6 +268,13 @@ class TestMonteCarloCommands:
         assert code == 0
         assert abs(data["sum_second_moments"] - 0.4) < 6 * data["std_error"]
 
+    @pytest.mark.parametrize(
+        "ensemble, flags", [("iqp", []), ("haar", []), ("rcs", ["--depth", "2"]), ("boson", ["--m", "3"])]
+    )
+    def test_moments_names_the_ensemble_as_the_flag_does(self, capsys, ensemble, flags):
+        code, out, _ = run(capsys, "moments", "--ensemble", ensemble, "--n", "2", "--instances", "2", *flags)
+        assert code == 0 and json.loads(out)["ensemble"] == ensemble
+
     def test_tail_check(self, capsys):
         code, out, _ = run(
             capsys, "tail-check", "--ensemble", "haar", "--n", "3",
@@ -422,6 +429,14 @@ class TestMalformedInput:
         self.assert_one_line_error(
             capsys, "certify", "--target", "uniform:8", "--samples", str(samples), "--eps", "0.5",
         )
+
+    @pytest.mark.parametrize(
+        "text", ['[{}, 0.5]', '["0.5", "0.5"]', '[true, false]', '[0.5, true]', '[null, 1]', "[1" + "0" * 400 + "]"]
+    )
+    def test_dist_file_holding_non_numbers(self, tmp_path, capsys, text):
+        dist = tmp_path / "d.json"
+        dist.write_text(text)
+        self.assert_one_line_error(capsys, "norms", "--dist", str(dist))
 
     def test_threads_flag_is_gone(self, capsys):
         assert build_parser().parse_args(["bs-tail", "--n", "2", "--m", "2"]).threads == 1

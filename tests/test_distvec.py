@@ -70,6 +70,14 @@ class TestProbVec:
         assert np.array_equal(v.entries, w.entries)
         with pytest.raises(InvalidParameterError):
             ProbVec.from_json(json.dumps({"not": "an array"}))
+        # ints and floats mixed keep the bits np.asarray gives them
+        data = [0, 1, 0.1, 2**53 + 1, 5e-324]
+        assert ProbVec.from_json(json.dumps(data)).entries.tobytes() == np.asarray(data, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("bad", [{}, "0.5", True, False, None, [0.5]])
+    def test_json_reads_only_numbers(self, bad):
+        with pytest.raises(InvalidParameterError, match="array of numbers"):
+            ProbVec.from_json(json.dumps([0.5, bad]))
 
     def test_bytes_roundtrip(self):
         rng = stream_rng(3)

@@ -9,8 +9,8 @@ from certbound.floattext import join_reprs
 from certbound.rng import stream_rng
 
 
-def _reprs(x: np.ndarray, sep: str) -> str:
-    return sep.join(map(repr, x.tolist()))
+def _reprs(x: np.ndarray) -> str:
+    return ", ".join(map(repr, x.tolist()))
 
 
 def _powers_with_neighbours() -> np.ndarray:
@@ -34,7 +34,7 @@ class TestJoinReprs:
     def test_bulk_matches_repr(self):
         total = 0
         for name, x in _bulk_cases():
-            assert join_reprs(x, ", ") == _reprs(x, ", "), name
+            assert join_reprs(x) == _reprs(x), name
             total += x.size
         assert total >= 2_000_000
 
@@ -49,10 +49,10 @@ class TestJoinReprs:
             [-1.5, -1e-300, np.inf, -np.inf, np.nan, 1.7976931348623157e308],
         ],
     )
-    @pytest.mark.parametrize("sep", [", ", "\n", "", "--long separator--"])
+    @pytest.mark.parametrize("sep", [", "])  # json.dumps's separator, the only one join_reprs writes
     def test_edges_and_separators(self, x, sep):
         x = np.array(x, dtype=np.float64)
-        assert join_reprs(x, sep) == _reprs(x, sep)
+        assert join_reprs(x) == sep.join(map(repr, x.tolist()))
 
     def test_every_chunk_splices_its_other_entries(self):
         # zeros of both signs, subnormals, negatives and large values spread over several chunks
@@ -60,17 +60,17 @@ class TestJoinReprs:
         x = rng.exponential(size=3 * 2**13 + 5)
         picks = rng.integers(0, x.size, 400)
         x[picks] = rng.choice([0.0, -0.0, 5e-324, 1e-310, -2.5, 2.0**60, 1e300], picks.size)
-        assert join_reprs(x, ", ") == _reprs(x, ", ")
+        assert join_reprs(x) == _reprs(x)
 
     def test_strided_input(self):
         x = stream_rng(4, 0xF7).exponential(size=2**14)
-        assert join_reprs(x[::3], ", ") == _reprs(x[::3], ", ")
+        assert join_reprs(x[::3]) == _reprs(x[::3])
 
     def test_no_warning_from_the_wrapping_arithmetic(self):
         x = stream_rng(5, 0xF7).integers(0, 0x7FEFFFFFFFFFFFFF, size=2**14, dtype=np.uint64).view(np.float64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert join_reprs(x, ", ") == _reprs(x, ", ")
+            assert join_reprs(x) == _reprs(x)
 
     def test_probvec_json_is_json_dumps(self):
         x = stream_rng(6, 0xF7).dirichlet(np.ones(4096))

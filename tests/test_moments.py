@@ -159,7 +159,8 @@ class TestEstimateSecondMoments:
         assert a.sum_second_moments == b.sum_second_moments
 
     def test_report_carries_ensemble_seed(self):
-        assert estimate_second_moments(CircuitEnsemble(kind="haar_state", n=2, seed=9), 10).seed == 9
+        est = estimate_second_moments(CircuitEnsemble(kind="haar_state", n=2, seed=9), 10)
+        assert est.seed == 9 and est.ensemble == "haar_state"  # the ensemble's kind, not a CLI name
         assert estimate_second_moments(fixed_ensemble(ProbVec.uniform(2)), 10).seed == 0
 
     def test_boson_ensemble_works(self):
@@ -219,6 +220,9 @@ class TestAntiConcentration:
         rep = anti_concentration_check(fixed_ensemble(p), alpha=0.5, num_instances=100)
         assert rep.gamma_hat == 1.0
         assert rep.passed
+        # outcome 0 is the one tested, and here it never occurs
+        rep = anti_concentration_check(fixed_ensemble(ProbVec.point_mass(8, 1)), alpha=0.5, num_instances=100)
+        assert rep.outcome == 0 and rep.gamma_hat == 0.0
 
     def test_haar_states_paley_zygmund(self):
         # floor = (1 - alpha)^2 (D+1) / (2 D); Porter-Thomas tail gives
@@ -250,11 +254,4 @@ class TestAntiConcentration:
         with pytest.raises(InvalidParameterError):
             anti_concentration_check(e, alpha=0.0, num_instances=10)
         with pytest.raises(InvalidParameterError):
-            anti_concentration_check(e, alpha=0.5, num_instances=10, outcome=4)
-
-    def test_outcome_checked_before_any_draw(self):
-        calls = []
-        p = ProbVec.uniform(4)
-        with pytest.raises(InvalidParameterError, match="outcome index out of range"):
-            anti_concentration_check(recording_ensemble(p, calls), alpha=0.5, num_instances=10, outcome=p.dim)
-        assert calls == []
+            anti_concentration_check(e, alpha=1.0, num_instances=10)
