@@ -11,6 +11,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar
@@ -34,8 +35,11 @@ class ModeOccupation:
     s: tuple
 
     def __post_init__(self):
-        s = tuple(map(int, self.s))
-        if not s or min(s) < 0:
+        try:  # operator.index takes Python and numpy integers, and refuses floats and strings
+            s = tuple(map(operator.index, self.s))
+        except TypeError:
+            s = ()
+        if not s or min(s) < 0 or bool in map(type, self.s):
             raise InvalidParameterError("occupations must be non-negative integers")
         object.__setattr__(self, "s", s)
 

@@ -196,7 +196,9 @@ def cmd_simulate(args):
     if args.csv:
         dist, outcomes = boson_distribution(ens.instance(0))
         lines = ["occupation,probability"]
-        lines += [f"{occ},{prob}" for occ, prob in zip(outcomes.labels(), join_reprs(dist.entries).split(", "))]
+        # a label with a count above 9 holds commas, so it is quoted and its row still has two fields
+        lines += [f'"{occ}",{prob}' if "," in occ else f"{occ},{prob}"
+                  for occ, prob in zip(outcomes.labels(), join_reprs(dist.entries).split(", "))]
         return "\n".join(lines) + "\n"
     dist = ens.instance_distribution(0)
     return dist.to_bytes() if args.out and args.out.endswith(".pvec") else dist.to_json()

@@ -16,7 +16,10 @@ in place, so IQP and Haar-state simulation allocates no complex array at all.
 instances whose 2^n is below _BATCH_ENTRIES (2^14) in batches of
 _BATCH_ENTRIES >> n: one phase build, one cos and one sin, two FWHTs and
 one normalization per batch, with every instance drawn from its own stream
-and equal bit for bit to `instance_distribution(i)`.  The single-instance
+and equal bit for bit to `instance_distribution(i)`.  The IQP kernels take
+a stack of weight matrices: a batch stacks the `_random_weights` draws
+themselves, and `IqpWeights.random` passes the same draw through the
+checked constructor, which every IqpWeights goes through.  The single-instance
 functions are the same kernels with one row.
 """
 
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distvec import ProbVec
-from .errors import InvalidParameterError, ResourceLimitError, MAX_QUBITS, read_instance_json
+from .errors import InvalidParameterError, ResourceLimitError, MAX_OUTCOMES, MAX_QUBITS, read_instance_json
 from .rng import stream_rng
 
 DEFAULT_ANGLE_SET = tuple(k * math.pi / 8 for k in range(8))
@@ -68,21 +71,10 @@ class IqpWeights:
 
     @staticmethod
     def random(n: int, rng: np.random.Generator) -> "IqpWeights":
-        """Weights drawn uniformly from DEFAULT_ANGLE_SET.
-
-        The drawn matrix is symmetric and in the set by construction, so the
-        instance is built without __post_init__'s checks, which weights from
-        outside (the constructor, from_json) always pass through.
-        """
-        if n < 1:
+        """Weights drawn uniformly from DEFAULT_ANGLE_SET."""
+        if n < 1:  # before rng.integers sees a negative size
             raise InvalidParameterError("n must be >= 1")
-        w = _DEFAULT_ANGLES[rng.integers(0, _DEFAULT_ANGLES.size, size=(n, n))]
-        w = np.triu(w) + np.triu(w, 1).T
-        w.flags.writeable = False
-        weights = object.__new__(IqpWeights)
-        for name, value in (("n", n), ("angle_set", DEFAULT_ANGLE_SET), ("w", w)):
-            object.__setattr__(weights, name, value)
-        return weights
+        return IqpWeights(n, DEFAULT_ANGLE_SET, _random_weights(n, rng))
 
     def to_json(self) -> str:
         upper = self.w[np.triu_indices(self.n)].tolist()
@@ -99,6 +91,12 @@ class IqpWeights:
         return IqpWeights(n=n, angle_set=tuple(data["angle_set"]), w=w)
 
 
+def _random_weights(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A symmetric n x n matrix of angles drawn uniformly from DEFAULT_ANGLE_SET, upper triangle mirrored."""
+    w = _DEFAULT_ANGLES[rng.integers(0, _DEFAULT_ANGLES.size, size=(n, n))]
+    return np.triu(w) + np.triu(w, 1).T
+
+
 @dataclass(frozen=True)
 class CircuitEnsemble:
     """Descriptor for a random-circuit ensemble at fixed qubit count."""
@@ -112,8 +110,7 @@ class CircuitEnsemble:
         if self.kind not in CIRCUIT_KINDS:
             raise InvalidParameterError(f"unknown ensemble kind {self.kind!r}")
         _check_qubits(self.n)
-        if self.depth < 0:
-            raise InvalidParameterError("depth must be >= 0")
+        _check_gates(self.n, self.depth)  # so that a sweep refuses before its first instance
         if self.depth and self.kind != "local_random":
             raise InvalidParameterError("depth applies to the local_random kind only")
 
@@ -147,10 +144,11 @@ class CircuitEnsemble:
         for start in range(0, count, size):
             batch = range(start, min(start + size, count))
             # each stream is made when its instance draws and dropped after it: a list of the 1 024
-            # streams of a Haar n=4 batch raised that sweep's peak RSS by ~1.8 MB
+            # streams of a Haar n=4 batch raised that sweep's peak RSS by ~1.8 MB.  An IQP instance
+            # is its drawn weight matrix, stacked as drawn: no IqpWeights is built per instance.
             rngs = (stream_rng(self.seed, i) for i in batch)
             if self.kind == "iqp":
-                rows = _iqp_probabilities([IqpWeights.random(self.n, rng) for rng in rngs])
+                rows = _iqp_probabilities(np.stack([_random_weights(self.n, rng) for rng in rngs]))
             else:
                 rows = _haar_probabilities(self.n, rngs, len(batch))
             yield from map(ProbVec, rows)
@@ -164,6 +162,15 @@ def _check_qubits(n: int):
         raise ResourceLimitError(f"n = {n} exceeds the configured maximum of {MAX_QUBITS} qubits")
 
 
+def _check_gates(n: int, depth: int):
+    """Refuse a negative depth, and `depth` gates of d x d entries (d = 2 at n = 1, else 4) above MAX_OUTCOMES."""
+    if depth < 0:
+        raise InvalidParameterError("depth must be >= 0")
+    d = 2 if n == 1 else 4
+    if depth * d * d > MAX_OUTCOMES:
+        raise ResourceLimitError(f"{depth} gates of {d} x {d} entries exceed the cap of {MAX_OUTCOMES} entries")
+
+
 # Entries of one batch of small instances in CircuitEnsemble.distributions: its real and
 # imaginary arrays are 128 KiB each, so a sweep's peak memory does not grow with its instance
 # count.  With 2^19-entry batches the traced peak of an IQP n=10 tail check grew from 8.7 MB at
@@ -173,18 +180,18 @@ _BATCH_ENTRIES = 1 << 14
 
 def fwht(a: np.ndarray) -> np.ndarray:
     """Fast Walsh-Hadamard transform (unnormalized), in place on one copy of `a`."""
-    return _fwht_inplace(a.copy(), a.size)
+    return _fwht_inplace(a.copy())
 
 
-def _fwht_inplace(a: np.ndarray, size: int) -> np.ndarray:
-    """fwht of each `size`-entry segment of the contiguous `a`, in place, with one half-size scratch buffer.
+def _fwht_inplace(a: np.ndarray) -> np.ndarray:
+    """fwht of each row (last axis) of the contiguous `a`, in place, with one half-size scratch buffer.
 
-    The levels stop at h = size, so no butterfly crosses a segment.  A float64
+    The levels stop at h = the row length, so no butterfly crosses a row.  A float64
     `a` runs level 1 on its floats and every later level on its complex128
     view: a view entry is a pair of adjacent floats, and from h = 2 on the
     butterflies pair whole float pairs, so the adds are the same.
     """
-    v, diff, h = a, np.empty(a.size // 2, dtype=a.dtype), 1
+    v, diff, h, size = a, np.empty(a.size // 2, dtype=a.dtype), 1, a.shape[-1]
     while h < size:
         pairs = v.reshape(-1, 2, h)
         top, bot = pairs[:, 0, :], pairs[:, 1, :]
@@ -213,29 +220,29 @@ def iqp_output_distribution(w: IqpWeights) -> ProbVec:
     build is O(2^n) work in O(n) numpy calls.
     """
     _check_qubits(w.n)
-    return ProbVec(_iqp_probabilities([w])[0])
+    return ProbVec(_iqp_probabilities(w.w[None])[0])
 
 
-def _iqp_probabilities(weights: list[IqpWeights]) -> np.ndarray:
-    """The output distribution of each circuit (all of one n), one row each.
+def _iqp_probabilities(w: np.ndarray) -> np.ndarray:
+    """The output distribution of each circuit of the (k, n, n) weight stack `w`, one row each.
 
     The real and imaginary rows of exp(i theta) are cos(theta) and sin(theta),
     the latter written over theta; the transform is linear, so each is
     transformed alone.
     """
-    theta = _phases(*weights)
+    theta = _phases(w)
     re = np.cos(theta)
     im = np.sin(theta, out=theta)
-    _fwht_inplace(re, re.shape[1])
-    _fwht_inplace(im, im.shape[1])
+    _fwht_inplace(re)
+    _fwht_inplace(im)
     # the 1/2^n amplitude scale is a power of two, so dropping it before normalizing is exact
     return _row_probabilities(re, im)
 
 
-def _phases(*weights: IqpWeights) -> np.ndarray:
-    """theta(x) for every x, one row per circuit (all of one n), doubled in place (see iqp_output_distribution)."""
-    rev = np.stack([w.w for w in weights])[:, ::-1, ::-1]  # row/column i is qubit n - 1 - i
-    theta = np.zeros((len(weights), 2 ** rev.shape[1]))
+def _phases(w: np.ndarray) -> np.ndarray:
+    """theta(x) for every x, one row per (n, n) matrix of `w`, doubled in place (see iqp_output_distribution)."""
+    rev = w[:, ::-1, ::-1]  # row/column i is qubit n - 1 - i
+    theta = np.zeros((len(w), 2 ** rev.shape[1]))
     acc = np.diagonal(rev, axis1=1, axis2=2)[:, :, None]
     for i in range(rev.shape[1]):
         a, acc, h = acc[:, 0], acc[:, 1:], 2**i
@@ -268,6 +275,8 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """
     if d < 1:
         raise InvalidParameterError("d must be >= 1")
+    if d * d > MAX_OUTCOMES:
+        raise ResourceLimitError(f"a {d} x {d} unitary exceeds the cap of {MAX_OUTCOMES} entries")
     return _haar_from_ginibre(rng.standard_normal((d, d)), rng.standard_normal((d, d)))
 
 
@@ -311,8 +320,7 @@ def local_random_circuit_distribution(n: int, depth: int, rng: np.random.Generat
     (2^q, d, rest) into a second buffer, and the two swap after each gate.
     """
     _check_qubits(n)
-    if depth < 0:
-        raise InvalidParameterError("depth must be >= 0")
+    _check_gates(n, depth)
     d = 2 if n == 1 else 4
     sites = np.zeros(depth, dtype=np.int64)
     re, im = np.empty((depth, d, d)), np.empty((depth, d, d))

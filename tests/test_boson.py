@@ -39,6 +39,12 @@ class TestModeOccupation:
             ModeOccupation((1, -1))
         with pytest.raises(InvalidParameterError):
             ModeOccupation(())
+        # int() would truncate 1.5 to 1 and take True as 1
+        for bad in [(1.5, 0), (np.float64(1.0), 0), (True, 0), (0, False), (np.True_, 0), ("1", 0), (None,)]:
+            with pytest.raises(InvalidParameterError, match="non-negative integers"):
+                ModeOccupation(bad)
+        occ = ModeOccupation((np.int64(2), np.uint8(0), 1))  # OutcomeSpace.__getitem__ passes numpy ints
+        assert occ.s == (2, 0, 1) and all(type(x) is int for x in occ.s)
 
 
 class TestBosonInstance:

@@ -1,5 +1,7 @@
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -11,9 +13,9 @@ import numpy as np
 import pytest
 
 from certbound import ProbVec, bounds, cli, sample_outcomes
-from certbound.boson import BosonEnsemble, boson_distribution
+from certbound.boson import BosonEnsemble, OutcomeSpace, boson_distribution
 from certbound.cli import build_parser, main
-from certbound.errors import MAX_DRAWS
+from certbound.errors import MAX_DRAWS, MAX_OUTCOMES
 from certbound.qsim import CircuitEnsemble
 from certbound.rng import stream_rng
 
@@ -226,6 +228,20 @@ class TestSimulate:
         rows = [f"{occ},{prob!r}" for occ, prob in zip(outcomes.labels(), dist.entries.tolist())]
         assert out == "\n".join(["occupation,probability", *rows]) + "\n"
 
+    def test_boson_csv_rows_have_two_fields(self, capsys, monkeypatch):
+        # ten photons in three modes: labels such as 10,0,0 hold commas, 910 does not.  A real
+        # instance needs m >= n, and the 92 378 outcomes of (10, 10) take seconds to simulate.
+        space = OutcomeSpace(3, 10)
+        dist = ProbVec(np.arange(1.0, len(space) + 1) / math.fsum(range(1, len(space) + 1)))
+        monkeypatch.setattr(cli, "boson_distribution", lambda inst: (dist, space))
+        code, out, _ = run(capsys, "simulate", "boson", "--n", "2", "--m", "3", "--csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["occupation", "probability"]
+        probs = dist.entries.tolist()
+        assert rows[1:] == [[str(occ), repr(p)] for occ, p in zip(space, probs)]
+        assert out.splitlines()[1:3] == [f'"10,0,0",{probs[0]!r}', f"910,{probs[1]!r}"]
+
     def test_json_stdout_file_and_json_dumps_agree(self, tmp_path, capsys):
         argv = ["simulate", "haar", "--n", "12", "--seed", "3"]
         code, out, _ = run(capsys, *argv)
@@ -257,6 +273,21 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "iqp", "--n", "25", "--seed", "0")
         assert code == 2
         assert "resource limit" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "rcs", "--n", "1", "--depth", str(MAX_OUTCOMES // 4 + 1)],
+            ["simulate", "rcs", "--n", "2", "--depth", str(MAX_OUTCOMES // 16 + 1)],
+            ["moments", "--ensemble", "rcs", "--n", "2", "--depth", str(MAX_OUTCOMES // 16 + 1), "--instances", "2"],
+            # |Phi| = m passes the outcome cap, but the m x m unitary does not
+            ["simulate", "boson", "--n", "1", "--m", str(math.isqrt(MAX_OUTCOMES) + 1)],
+        ],
+    )
+    def test_matrix_stack_over_the_cap_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("resource limit:") and len(err.splitlines()) == 1
 
 
 class TestMonteCarloCommands:

@@ -23,7 +23,7 @@ from certbound import (
     sample_outcomes,
 )
 from certbound import qsim
-from certbound.errors import InvalidParameterError, ResourceLimitError
+from certbound.errors import MAX_OUTCOMES, InvalidParameterError, ResourceLimitError
 from certbound.qsim import DEFAULT_ANGLE_SET, fwht
 from certbound.rng import stream_rng
 
@@ -91,6 +91,18 @@ class TestIqpWeights:
         assert [ens.instance_distribution(i).entries.tobytes() for i in range(count)] == want
         w, ref = IqpWeights.random(n, stream_rng(11, 0)), checked(stream_rng(11, 0))
         assert w.w.tobytes() == ref.w.tobytes() and w.angle_set == ref.angle_set and not w.w.flags.writeable
+
+    def test_random_refuses_n_below_1_before_it_draws(self):
+        rng = stream_rng(3)
+        for n in (0, -1):
+            with pytest.raises(InvalidParameterError, match="n must be"):
+                IqpWeights.random(n, rng)
+        assert rng.random() == stream_rng(3).random()
+
+    def test_one_construction_path_in_the_package(self):
+        # every instance is built through its class's checked constructor: nothing skips __post_init__
+        src = Path(qsim.__file__).parent
+        assert not any("object.__new__" in f.read_text() for f in sorted(src.glob("*.py")))
 
     def test_json_roundtrip(self):
         w = IqpWeights.random(5, stream_rng(2))
@@ -185,7 +197,7 @@ class TestFwht:
     def test_real_rows_have_the_bits_of_the_complex_transform(self, rows, k):
         a = stream_rng(16, rows, k).standard_normal((rows, 2**k))
         want = np.stack([fwht(row.astype(complex)).real for row in a])
-        assert qsim._fwht_inplace(a.copy(), 2**k).tobytes() == want.tobytes()
+        assert qsim._fwht_inplace(a.copy()).tobytes() == want.tobytes()
 
     def test_leaves_argument_unchanged(self):
         a = stream_rng(4).standard_normal(64) + 1j * stream_rng(5).standard_normal(64)
@@ -240,7 +252,7 @@ class TestIqpDistribution:
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_same_bits_as_re_squared_plus_im_squared(self, n):
         w = IqpWeights.random(n, stream_rng(14, n))
-        a = fwht(np.exp(1j * qsim._phases(w)[0]))
+        a = fwht(np.exp(1j * qsim._phases(w.w[None])[0]))
         mine = iqp_output_distribution(w).entries
         _assert_is_re_squared_plus_im_squared(mine, a)
 
@@ -270,14 +282,14 @@ class TestPhases:
     @pytest.mark.parametrize("n", range(1, 17))
     def test_same_bits_as_the_concatenated_doubling(self, n):
         weights = [IqpWeights.random(n, stream_rng(19, n, j)) for j in range(3)]
-        assert qsim._phases(*weights).tobytes() == _concatenated_phases(*weights).tobytes()
-        assert qsim._phases(weights[1]).tobytes() == _concatenated_phases(weights[1]).tobytes()
+        assert qsim._phases(np.stack([w.w for w in weights])).tobytes() == _concatenated_phases(*weights).tobytes()
+        assert qsim._phases(weights[1].w[None]).tobytes() == _concatenated_phases(weights[1]).tobytes()
 
     def test_peak_memory(self):
         w = IqpWeights.random(16, stream_rng(1))
         tracemalloc.start()
         try:
-            qsim._phases(w)
+            qsim._phases(w.w[None])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -367,6 +379,34 @@ def test_single_instance_peak_memory(simulate, per_entry):
     finally:
         tracemalloc.stop()
     assert peak < (per_entry + 1) * 2**n
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda: local_random_circuit_distribution(1, MAX_OUTCOMES // 4 + 1, stream_rng(0)),  # 2 x 2 gates
+        lambda: local_random_circuit_distribution(2, MAX_OUTCOMES // 16 + 1, stream_rng(0)),  # 4 x 4 gates
+        lambda: CircuitEnsemble("local_random", 2, 0, depth=MAX_OUTCOMES // 16 + 1),
+        lambda: haar_unitary(math.isqrt(MAX_OUTCOMES) + 1, stream_rng(0)),
+    ],
+    ids=["gates_n1", "gates_n2", "ensemble", "haar_unitary"],
+)
+def test_matrix_stack_over_the_cap_is_refused_before_it_is_drawn(draw):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=f"cap of {MAX_OUTCOMES}"):
+            draw()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_matrix_stacks_at_the_cap_are_accepted():
+    assert CircuitEnsemble("local_random", 2, 0, depth=MAX_OUTCOMES // 16).depth == MAX_OUTCOMES // 16
+    assert CircuitEnsemble("local_random", 1, 0, depth=MAX_OUTCOMES // 4).depth == MAX_OUTCOMES // 4
+    with pytest.raises(ResourceLimitError):
+        CircuitEnsemble("local_random", 1, 0, depth=MAX_OUTCOMES // 4 + 1)
 
 
 class TestLocalRandomCircuit:
