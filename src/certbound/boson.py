@@ -1,8 +1,15 @@
 """Boson-sampling distributions and the concentration machinery behind their flatness.
 
 Distributions are exact over the full mode-occupation sample space at desk
-scale, from one batched subset-sum Ryser kernel per instance; the
-tail/concentration bounds are evaluated as fully explicit formulas.
+scale, and one subset-sum Ryser kernel, `_ryser`, evaluates every permanent.
+`BosonEnsemble.distributions(count)` simulates instances in batches, as
+`qsim.CircuitEnsemble.distributions` does: Phi and its prod_j s_j!
+denominators are built once per sweep, each instance's two Ginibre matrices
+are drawn from its own stream into one (k, m, m) stack that one QR call
+factors, and one Ryser pass takes the stacked (k m, n) first columns with
+Phi's index rows offset by j m for instance j.  `boson_distribution` is the
+same kernel with one instance.  The tail/concentration bounds are evaluated
+as fully explicit formulas.
 """
 
 from __future__ import annotations
@@ -20,11 +27,12 @@ import numpy as np
 
 from .distvec import ProbVec, _fsum
 from .errors import InvalidParameterError, ResourceLimitError, MAX_OUTCOMES, read_instance_json
-from .qsim import haar_unitary
+from .qsim import _check_unitary, _haar_unitaries, haar_unitary
 from .rng import stream_rng
 
 # entries per chunk of the batched kernels (subset sums gathered by the Ryser kernel, occupation
-# numbers counted for labels): 1 MB of scratch
+# numbers counted for labels, and the index rows and unitary entries of a batch of ensemble
+# instances): 1 MB of scratch
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -81,8 +89,7 @@ class BosonInstance:
     U: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n <= self.m:
-            raise InvalidParameterError("need m >= n >= 1")
+        _check_modes(self.n, self.m)
         U = np.asarray(self.U, dtype=np.complex128)
         if U.shape != (self.m, self.m):
             raise InvalidParameterError("U must be m x m")
@@ -111,6 +118,11 @@ class BosonInstance:
         flat = np.asarray(flat, dtype=np.float64)
         U = (flat[0::2] + 1j * flat[1::2]).reshape(m, m)
         return BosonInstance(n=n, m=m, U=U)
+
+
+def _check_modes(n: int, m: int):
+    if not 1 <= n <= m:
+        raise InvalidParameterError("need m >= n >= 1")
 
 
 class OutcomeSpace(Sequence):
@@ -168,11 +180,23 @@ def _subsets(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ryser(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Perm(cols[r]) for each index row r: sum_S sign_S prod_i sums[r_i, S], sums = cols @ mask.T."""
+    """Perm(cols[r]) for each index row r: sum_S sign_S prod_i sums[r_i, S], sums = cols @ mask.T.
+
+    The rows are taken a chunk at a time, and no chunk holds a lone row
+    unless `rows` does: a last row that would be left alone joins the chunk
+    before it.  numpy takes a one-row product by its dot path, whose bits
+    differ from those of the matrix-vector (BLAS zgemv) path.  A batch of
+    instances has the bits of each instance alone only if zgemv gives each
+    row of a chunk of two or more the same bits wherever the row falls in
+    it.  numpy 2.4's scipy-openblas 0.3.31 does (no row of 8112 chunks of 2
+    to 40 rows and 1 to 255 columns moved, on x86-64); a BLAS or CPU kernel
+    that accumulates a block of rows together may not.
+    """
     mask, sign = _subsets(cols.shape[1])
     sums = cols @ mask.T
-    step = max(1, _CHUNK_ENTRIES // mask.size)
-    return np.concatenate([sums[rows[i : i + step]].prod(axis=1) @ sign for i in range(0, len(rows), step)])
+    step = max(2, _CHUNK_ENTRIES // mask.size)
+    ends = [0, *range(step, len(rows) - 1, step), len(rows)]
+    return np.concatenate([sums[rows[i:j]].prod(axis=1) @ sign for i, j in itertools.pairwise(ends)])
 
 
 def permanent(x: np.ndarray, method: str = "ryser") -> complex:
@@ -210,15 +234,31 @@ def submatrix(inst: BosonInstance, occ: ModeOccupation) -> np.ndarray:
 
 
 def boson_distribution(inst: BosonInstance) -> tuple[ProbVec, OutcomeSpace]:
-    """Exact output distribution P(S) = |Perm(U_S)|^2 / prod_j s_j! over all of Phi.
-
-    U_S stacks rows of U, so one batched Ryser pass over Phi's index rows serves every S.
-    """
+    """Exact output distribution P(S) = |Perm(U_S)|^2 / prod_j s_j! over all of Phi."""
     outcomes = OutcomeSpace(inst.m, inst.n)
-    rows, denom = outcomes.rows, np.ones(len(outcomes))
-    for k in range(1, inst.n):  # prod_j s_j! = prod_k (1 + earlier photons in photon k's mode)
+    return ProbVec(_probabilities(inst.U[None], outcomes.rows, _factorials(outcomes.rows))[0]), outcomes
+
+
+def _factorials(rows: np.ndarray) -> np.ndarray:
+    """prod_j s_j! of each outcome, from its sorted photon -> mode index row."""
+    denom = np.ones(len(rows))
+    for k in range(1, rows.shape[1]):  # prod_j s_j! = prod_k (1 + earlier photons in photon k's mode)
         denom *= 1 + np.count_nonzero(rows[:, :k] == rows[:, k, None], axis=1)
-    return ProbVec(np.abs(_ryser(inst.U[:, : inst.n], rows)) ** 2 / denom), outcomes
+    return denom
+
+
+def _probabilities(U: np.ndarray, rows: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """P(S) for each outcome's index row, one row of P per unitary of the (k, m, m) stack U.
+
+    U_S stacks rows of U, so one Ryser pass serves every S of every instance:
+    the k unitaries' first n columns are one (k m, n) matrix, and instance j's
+    outcomes index it from row j m on.
+    """
+    k, m, _ = U.shape
+    n = rows.shape[1]
+    offsets = np.arange(0, k * m, m, dtype=np.min_scalar_type(k * m - 1))[:, None, None]
+    perms = _ryser(U[:, :, :n].reshape(k * m, n), (rows + offsets).reshape(-1, n))
+    return (np.abs(perms) ** 2).reshape(k, -1) / denom
 
 
 def collision_weight(inst: BosonInstance) -> float:
@@ -313,6 +353,11 @@ class BosonEnsemble:
     seed: int
     kind: ClassVar[str] = "boson"
 
+    def __post_init__(self):
+        # what every instance would refuse, refused before a sweep's first draw
+        _check_modes(self.n, self.m)
+        _check_unitary(self.m)
+
     @property
     def sample_space_size(self) -> int:
         return math.comb(self.m + self.n - 1, self.n)
@@ -324,5 +369,21 @@ class BosonEnsemble:
         return boson_distribution(self.instance(i))[0]
 
     def distributions(self, count: int):
-        """instance_distribution(i) for i = 0 ... count-1, in index order."""
-        return map(self.instance_distribution, range(count))
+        """instance_distribution(i) for i = 0 ... count-1, in index order, with the same bits.
+
+        Phi and its denominators are built once.  Instances are simulated
+        max(1, _CHUNK_ENTRIES // (n |Phi| + m^2)) at a time, so a batch's index
+        rows and unitaries stay within _CHUNK_ENTRIES entries: one QR call
+        factors the batch's Ginibre stack and one Ryser pass serves all its
+        outcomes.  Each batch fills a fresh buffer, so no yielded ProbVec is
+        written again.
+        """
+        outcomes = OutcomeSpace(self.m, self.n)
+        rows, denom = outcomes.rows, _factorials(outcomes.rows)
+        size = max(1, _CHUNK_ENTRIES // (rows.size + self.m**2))
+        for start in range(0, count, size):
+            batch = range(start, min(start + size, count))
+            U = _haar_unitaries(self.m, [stream_rng(self.seed, i) for i in batch])
+            probs = _probabilities(U, rows, denom)
+            yield from map(ProbVec, probs)
+            del probs  # before the next batch is built

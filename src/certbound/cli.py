@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 validation error, 2 resource limit exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -287,7 +288,9 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidParameterError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parse_args does not change it."""
     parser = _Parser(prog="certbound")
     parser.add_argument("--version", action="version", version=__version__)
     # Sweeps run serially; `threads` is no option.  perfbench/worker.py still

@@ -273,11 +273,25 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     The diagonal of R is rephased to positive reals, which makes the QR map
     measurable and the resulting Q exactly Haar-distributed.
     """
+    _check_unitary(d)
+    return _haar_unitaries(d, [rng])[0]
+
+
+def _check_unitary(d: int):
+    """Refuse d < 1, and a d x d unitary of more than MAX_OUTCOMES entries."""
     if d < 1:
         raise InvalidParameterError("d must be >= 1")
     if d * d > MAX_OUTCOMES:
         raise ResourceLimitError(f"a {d} x {d} unitary exceeds the cap of {MAX_OUTCOMES} entries")
-    return _haar_from_ginibre(rng.standard_normal((d, d)), rng.standard_normal((d, d)))
+
+
+def _haar_unitaries(d: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """haar_unitary(d, rng) for each stream of `rngs`, as a (len(rngs), d, d) stack."""
+    re, im = np.empty((len(rngs), d, d)), np.empty((len(rngs), d, d))
+    for j, rng in enumerate(rngs):
+        rng.standard_normal(out=re[j])
+        rng.standard_normal(out=im[j])
+    return _haar_from_ginibre(re, im)
 
 
 def _haar_from_ginibre(re: np.ndarray, im: np.ndarray) -> np.ndarray:

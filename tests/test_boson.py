@@ -22,7 +22,7 @@ from certbound import (
 )
 from certbound import boson
 from certbound.boson import OutcomeSpace, phi_size_bound, submatrix
-from certbound.errors import InvalidParameterError, ResourceLimitError
+from certbound.errors import MAX_OUTCOMES, InvalidParameterError, ResourceLimitError
 from certbound.rng import stream_rng
 
 
@@ -343,6 +343,23 @@ class TestBosonEnsemble:
         b = e.instance_distribution(4).entries
         assert np.array_equal(a, b)
         assert not np.array_equal(a, e.instance_distribution(5).entries)
+
+    @pytest.mark.parametrize("n, m", [(3, 2), (0, 3), (1, 0)])
+    def test_refuses_the_modes_that_every_instance_would(self, n, m):
+        with pytest.raises(InvalidParameterError, match="need m >= n >= 1"):
+            BosonEnsemble(n, m, seed=0)
+
+    def test_refuses_a_unitary_over_the_cap(self):
+        with pytest.raises(ResourceLimitError, match="unitary exceeds the cap"):
+            BosonEnsemble(1, math.isqrt(MAX_OUTCOMES) + 1, seed=0)
+
+    def test_a_lone_last_row_keeps_its_bits(self, monkeypatch):
+        # 3 instances of 126 outcomes a batch in Ryser chunks of 29 rows: 378 = 13 x 29 + 1, so the batch's
+        # last row would be a chunk of its own, whose one-row product numpy takes by its dot path, with other bits
+        monkeypatch.setattr(boson, "_CHUNK_ENTRIES", 1742)
+        e = BosonEnsemble(4, 6, seed=3)
+        batched = [p.entries.tobytes() for p in e.distributions(3)]
+        assert batched == [e.instance_distribution(i).entries.tobytes() for i in range(3)]
 
 
 class TestBatchedRyser:

@@ -282,6 +282,7 @@ class TestSimulate:
             ["moments", "--ensemble", "rcs", "--n", "2", "--depth", str(MAX_OUTCOMES // 16 + 1), "--instances", "2"],
             # |Phi| = m passes the outcome cap, but the m x m unitary does not
             ["simulate", "boson", "--n", "1", "--m", str(math.isqrt(MAX_OUTCOMES) + 1)],
+            ["moments", "--ensemble", "boson", "--n", "1", "--m", str(math.isqrt(MAX_OUTCOMES) + 1), "--instances", "2"],
         ],
     )
     def test_matrix_stack_over_the_cap_exits_2(self, capsys, argv):
@@ -402,6 +403,16 @@ class TestArgHandling:
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
 
+    def test_one_parser_serves_every_call(self, capsys):
+        # build_parser() is built once per process, so each call's result must be its own
+        assert build_parser() is build_parser()
+        code, out, err = run(capsys, "norms", "--dist", "uniform:4", "--bogus-flag", "1")
+        assert code == 1 and out == "" and err == "error: unrecognized arguments: --bogus-flag 1\n"
+        code, out, err = run(capsys, "norms", "--dist", "uniform:4")
+        assert code == 0 and json.loads(out)["dim"] == 4 and err == ""
+        code, out, err = run(capsys, "--version")
+        assert code == 0 and out == f"{cli.__version__}\n" and err == ""
+
     def test_help_exit_0(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0
@@ -491,6 +502,10 @@ class TestMalformedInput:
     )
     def test_argparse_errors_are_one_line(self, capsys, argv):
         self.assert_one_line_error(capsys, *argv)
+
+    @pytest.mark.parametrize("command", [["simulate", "boson"], ["moments", "--ensemble", "boson", "--instances", "2"]])
+    def test_more_photons_than_modes(self, capsys, command):
+        assert self.assert_one_line_error(capsys, *command, "--n", "3", "--m", "2") == "error: need m >= n >= 1\n"
 
     def test_version_exits_0(self, capsys):
         code, out, err = run(capsys, "--version")

@@ -102,6 +102,21 @@ def test_tail_check_peak_memory_does_not_grow_with_instances():
     assert traced_peak(800) - traced_peak(200) < 2**18
 
 
+def test_boson_peak_memory_does_not_grow_with_instances():
+    # at (1, 100) the m^2 unitary entries, not the n |Phi| index entries, set the batch: 6 instances of 10 100
+    # entries; a batch sized by n |Phi| alone would stack 655 unitaries of 160 KB, all 50 or all 200 of these
+    def traced_peak(num_instances):
+        tracemalloc.start()
+        try:
+            estimate_second_moments(BosonEnsemble(1, 100, seed=3), num_instances)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(3)  # lazy set-up outside the measured calls
+    assert traced_peak(200) - traced_peak(50) < 2**18
+
+
 @pytest.mark.parametrize(
     "check",
     [

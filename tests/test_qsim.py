@@ -22,7 +22,7 @@ from certbound import (
     local_random_circuit_distribution,
     sample_outcomes,
 )
-from certbound import qsim
+from certbound import boson, qsim
 from certbound.errors import MAX_OUTCOMES, InvalidParameterError, ResourceLimitError
 from certbound.qsim import DEFAULT_ANGLE_SET, fwht
 from certbound.rng import stream_rng
@@ -582,12 +582,17 @@ class TestCircuitEnsemble:
         [CircuitEnsemble(kind="iqp", n=n, seed=21) for n in (1, 2, 3, 4, 5, 6)]
         + [CircuitEnsemble(kind="haar_state", n=n, seed=22) for n in (1, 3, 5, 6)]
         + [CircuitEnsemble(kind="local_random", n=n, seed=23, depth=4) for n in (1, 3)]
-        + [BosonEnsemble(2, 4, seed=24)],
+        + [BosonEnsemble(n, m, seed=24) for n, m in ((1, 5), (2, 4), (3, 9), (4, 8))],
         ids=lambda e: f"{e.kind}-{e.n}",
     )
     def test_distributions_have_the_bits_of_instance_distribution(self, ensemble, monkeypatch):
         # batches of 32 entries: 16, 8 and 4 instances at n = 1, 2, 3, one at n >= 5, and 37 leaves a partial last batch
         monkeypatch.setattr(qsim, "_BATCH_ENTRIES", 2**5)
+        if ensemble.kind == "boson":
+            # 4 instances a batch, 37 = 9 x 4 + 1; at n >= 2 the Ryser chunks of 4 (n |Phi| + m^2) // (n (2^n - 1))
+            # rows (24, 109 and 92) end inside an instance of 10, 165 and 330 outcomes
+            per_instance = ensemble.n * ensemble.sample_space_size + ensemble.m**2
+            monkeypatch.setattr(boson, "_CHUNK_ENTRIES", 4 * per_instance)
         batched = list(ensemble.distributions(37))  # all kept, so a reused buffer would show
         single = [ensemble.instance_distribution(i) for i in range(37)]
         assert [p.entries.tobytes() for p in batched] == [p.entries.tobytes() for p in single]
