@@ -1,15 +1,18 @@
 """Boson-sampling distributions and the concentration machinery behind their flatness.
 
 Distributions are exact over the full mode-occupation sample space at desk
-scale, and one subset-sum Ryser kernel, `_ryser`, evaluates every permanent.
-`BosonEnsemble.distributions(count)` simulates instances in batches, as
-`qsim.CircuitEnsemble.distributions` does: Phi and its prod_j s_j!
+scale, and one subset-sum Ryser kernel, `_ryser`, evaluates every permanent,
+multiplying each outcome's subset sums photon by photon.  Phi is held as its
+sorted photon -> mode index rows, built a column at a time by numpy calls
+(`_sorted_rows`), and its prod_j s_j! denominators come from the run lengths
+of those rows.  `BosonEnsemble.distributions(count)` simulates instances in
+batches, as `qsim.CircuitEnsemble.distributions` does: Phi and its
 denominators are built once per sweep, each instance's two Ginibre matrices
-are drawn from its own stream into one (k, m, m) stack that one QR call
-factors, and one Ryser pass takes the stacked (k m, n) first columns with
-Phi's index rows offset by j m for instance j.  `boson_distribution` is the
-same kernel with one instance.  The tail/concentration bounds are evaluated
-as fully explicit formulas.
+are drawn from its own stream (`rng.stream_rngs` hashes a batch's keys in one
+pass) into one (k, m, m) stack that one QR call factors, and one Ryser pass
+takes the stacked (k m, n) first columns with Phi's index rows offset by j m
+for instance j.  `boson_distribution` is the same kernel with one instance.
+The tail/concentration bounds are evaluated as fully explicit formulas.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .distvec import ProbVec, _fsum
 from .errors import InvalidParameterError, ResourceLimitError, MAX_OUTCOMES, read_instance_json
 from .qsim import _check_unitary, _haar_unitaries, haar_unitary
-from .rng import stream_rng
+from .rng import stream_rng, stream_rngs
 
 # entries per chunk of the batched kernels (subset sums gathered by the Ryser kernel, occupation
 # numbers counted for labels, and the index rows and unitary entries of a batch of ensemble
@@ -132,12 +135,10 @@ class OutcomeSpace(Sequence):
     def __init__(self, m: int, n: int, collision_free_only: bool = False):
         if m < 1 or n < 0:
             raise InvalidParameterError("need m >= 1 and n >= 0")
-        pick = itertools.combinations if collision_free_only else itertools.combinations_with_replacement
         size = math.comb(m, n) if collision_free_only else math.comb(m + n - 1, n)
         if size > MAX_OUTCOMES:
             raise ResourceLimitError(f"|Phi| = {size} exceeds the cap of {MAX_OUTCOMES}")
-        flat = itertools.chain.from_iterable(pick(range(m), n))
-        self.m, self.rows = m, np.fromiter(flat, np.min_scalar_type(m - 1), size * n).reshape(size, n)
+        self.m, self.rows = m, _sorted_rows(m, n, size, int(collision_free_only))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -161,6 +162,42 @@ class OutcomeSpace(Sequence):
     def labels(self) -> list[str]:
         """str() of every outcome, in order, without an object each."""
         return list(itertools.chain.from_iterable(map(_occupation_text, self._counts())))
+
+
+def _sorted_rows(m: int, n: int, size: int, gap: int) -> np.ndarray:
+    """The (size, n) rows of itertools' combinations_with_replacement(range(m), n) (gap 0) or
+    combinations(range(m), n) (gap 1), in its order, built a column at a time in the rows' dtype.
+
+    The distinct length-(k + 1) prefixes of the rows, in order, end in the
+    entries `col`: a prefix of length k that ends at u extends to u + gap,
+    u + gap + 1, ..., top.  So `col` is a cumsum of +1 steps, except that
+    each group's first step jumps from the previous group's top down to its
+    own start; the cumsum runs in the rows' unsigned dtype, where that
+    negative jump wraps exactly.  Column k is `col` with each entry repeated
+    once per completion of its prefix to a full row.
+    """
+    dtype = np.min_scalar_type(m - 1)
+    rows = np.empty((size, n), dtype)
+    if not size:  # collision-free with n > m
+        return rows
+    last = np.array([-gap])  # the last entry of each distinct prefix, from the empty prefix on
+    for k in range(n):
+        rest = n - 1 - k  # entries after the k-th
+        top = m - 1 - gap * rest
+        starts = last + gap
+        width = top + 1 - starts
+        steps = np.ones(int(width.sum()), dtype)
+        starts[1:] -= top
+        steps[np.cumsum(width) - width] = starts.astype(dtype)  # a jump below 0 wraps modulo 2^bits
+        col = np.cumsum(steps, dtype=dtype)
+        if not rest:
+            rows[:, k] = col
+            break
+        # a prefix ending at v has this many completions: rest entries from v (gap 0) or v + 1 (gap 1) to m - 1
+        completions = np.array([math.comb(m - 1 - v + rest * (1 - gap), rest) for v in range(m)])
+        rows[:, k] = np.repeat(col, completions[col])
+        last = col.astype(np.int64)
+    return rows
 
 
 def enumerate_phi(m: int, n: int, collision_free_only: bool = False) -> list[ModeOccupation]:
@@ -196,7 +233,19 @@ def _ryser(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
     sums = cols @ mask.T
     step = max(2, _CHUNK_ENTRIES // mask.size)
     ends = [0, *range(step, len(rows) - 1, step), len(rows)]
-    return np.concatenate([sums[rows[i:j]].prod(axis=1) @ sign for i, j in itertools.pairwise(ends)])
+    return np.concatenate([_products(sums, rows[i:j]) @ sign for i, j in itertools.pairwise(ends)])
+
+
+def _products(sums: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """prod_i sums[r_i] for each index row r, taken photon by photon.
+
+    These are the products of sums[rows].prod(axis=1), formed in the same
+    order, without its (rows, n, 2^n - 1) gather reduced along a strided axis.
+    """
+    acc = sums.take(rows[:, 0], axis=0)  # take gathers whole rows faster than fancy indexing does
+    for c in range(1, rows.shape[1]):
+        acc *= sums.take(rows[:, c], axis=0)
+    return acc
 
 
 def permanent(x: np.ndarray, method: str = "ryser") -> complex:
@@ -240,10 +289,15 @@ def boson_distribution(inst: BosonInstance) -> tuple[ProbVec, OutcomeSpace]:
 
 
 def _factorials(rows: np.ndarray) -> np.ndarray:
-    """prod_j s_j! of each outcome, from its sorted photon -> mode index row."""
-    denom = np.ones(len(rows))
-    for k in range(1, rows.shape[1]):  # prod_j s_j! = prod_k (1 + earlier photons in photon k's mode)
-        denom *= 1 + np.count_nonzero(rows[:, :k] == rows[:, k, None], axis=1)
+    """prod_j s_j! of each outcome, from its sorted photon -> mode index row.
+
+    prod_j s_j! = prod_k (1 + earlier photons in photon k's mode), and in a
+    sorted row those photons are the run of equal entries just before k.
+    """
+    denom, run = np.ones(len(rows)), np.zeros(len(rows), dtype=np.int64)
+    for k in range(1, rows.shape[1]):
+        run = (run + 1) * (rows[:, k] == rows[:, k - 1])
+        denom *= run + 1
     return denom
 
 
@@ -383,7 +437,7 @@ class BosonEnsemble:
         size = max(1, _CHUNK_ENTRIES // (rows.size + self.m**2))
         for start in range(0, count, size):
             batch = range(start, min(start + size, count))
-            U = _haar_unitaries(self.m, [stream_rng(self.seed, i) for i in batch])
+            U = _haar_unitaries(self.m, list(stream_rngs(self.seed, batch)))
             probs = _probabilities(U, rows, denom)
             yield from map(ProbVec, probs)
             del probs  # before the next batch is built

@@ -17,10 +17,12 @@ instances whose 2^n is below _BATCH_ENTRIES (2^14) in batches of
 _BATCH_ENTRIES >> n: one phase build, one cos and one sin, two FWHTs and
 one normalization per batch, with every instance drawn from its own stream
 and equal bit for bit to `instance_distribution(i)`.  The IQP kernels take
-a stack of weight matrices: a batch stacks the `_random_weights` draws
-themselves, and `IqpWeights.random` passes the same draw through the
-checked constructor, which every IqpWeights goes through.  The single-instance
-functions are the same kernels with one row.
+a stack of weight matrices: a batch draws its streams' weights through one
+`_random_weights` call, which mirrors the whole stack's upper triangles at
+once, and `IqpWeights.random` is that call with one stream, passed through
+the checked constructor, which every IqpWeights goes through.  A batch's
+streams come from `rng.stream_rngs`, which hashes their keys in one pass.
+The single-instance functions are the same kernels with one row.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .distvec import ProbVec
 from .errors import InvalidParameterError, ResourceLimitError, MAX_OUTCOMES, MAX_QUBITS, read_instance_json
-from .rng import stream_rng
+from .rng import stream_rng, stream_rngs
 
 DEFAULT_ANGLE_SET = tuple(k * math.pi / 8 for k in range(8))
 _DEFAULT_ANGLES = np.array(DEFAULT_ANGLE_SET)
@@ -74,7 +76,7 @@ class IqpWeights:
         """Weights drawn uniformly from DEFAULT_ANGLE_SET."""
         if n < 1:  # before rng.integers sees a negative size
             raise InvalidParameterError("n must be >= 1")
-        return IqpWeights(n, DEFAULT_ANGLE_SET, _random_weights(n, rng))
+        return IqpWeights(n, DEFAULT_ANGLE_SET, _random_weights(n, [rng])[0])
 
     def to_json(self) -> str:
         upper = self.w[np.triu_indices(self.n)].tolist()
@@ -91,10 +93,11 @@ class IqpWeights:
         return IqpWeights(n=n, angle_set=tuple(data["angle_set"]), w=w)
 
 
-def _random_weights(n: int, rng: np.random.Generator) -> np.ndarray:
-    """A symmetric n x n matrix of angles drawn uniformly from DEFAULT_ANGLE_SET, upper triangle mirrored."""
-    w = _DEFAULT_ANGLES[rng.integers(0, _DEFAULT_ANGLES.size, size=(n, n))]
-    return np.triu(w) + np.triu(w, 1).T
+def _random_weights(n: int, rngs) -> np.ndarray:
+    """The symmetric n x n angle matrices of the streams `rngs` as a (k, n, n) stack: each stream draws
+    n x n indices into DEFAULT_ANGLE_SET, and the stack's upper triangles are mirrored at once."""
+    w = _DEFAULT_ANGLES[np.stack([rng.integers(0, _DEFAULT_ANGLES.size, size=(n, n)) for rng in rngs])]
+    return np.triu(w) + np.triu(w, 1).swapaxes(1, 2)
 
 
 @dataclass(frozen=True)
@@ -145,10 +148,10 @@ class CircuitEnsemble:
             batch = range(start, min(start + size, count))
             # each stream is made when its instance draws and dropped after it: a list of the 1 024
             # streams of a Haar n=4 batch raised that sweep's peak RSS by ~1.8 MB.  An IQP instance
-            # is its drawn weight matrix, stacked as drawn: no IqpWeights is built per instance.
-            rngs = (stream_rng(self.seed, i) for i in batch)
+            # is its drawn weight matrix: no IqpWeights is built per instance.
+            rngs = stream_rngs(self.seed, batch)
             if self.kind == "iqp":
-                rows = _iqp_probabilities(np.stack([_random_weights(self.n, rng) for rng in rngs]))
+                rows = _iqp_probabilities(_random_weights(self.n, rngs))
             else:
                 rows = _haar_probabilities(self.n, rngs, len(batch))
             yield from map(ProbVec, rows)

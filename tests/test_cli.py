@@ -440,6 +440,14 @@ class TestArgHandling:
             assert code == 0 and out == expected
 
 
+# a single instance, a batched boson sweep and a batched Haar-state sweep
+_SEEDED_COMMANDS = [
+    ["simulate", "boson", "--n", "2", "--m", "3"],
+    ["moments", "--ensemble", "boson", "--n", "2", "--m", "3", "--instances", "4"],
+    ["moments", "--ensemble", "haar", "--n", "2", "--instances", "4"],
+]
+
+
 class TestMalformedInput:
     """Malformed input exits 1 with a single error line, not a traceback."""
 
@@ -484,6 +492,19 @@ class TestMalformedInput:
         assert build_parser().parse_args(["bs-tail", "--n", "2", "--m", "2"]).threads == 1
         code, out, _ = run(capsys, "bs-tail", "--n", "2", "--m", "2", "--threads", "2")
         assert code == 1 and out == ""
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("argv", _SEEDED_COMMANDS)
+    def test_seed_outside_64_bits(self, capsys, argv, seed):
+        # SeedSequence would take -1 as 2^64 - 1 and 2^64 + 1 as 1
+        err = self.assert_one_line_error(capsys, *argv, "--seed", seed)
+        assert err == f"error: seed must be in [0, 2^64), got {seed}\n"
+
+    @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+    @pytest.mark.parametrize("argv", _SEEDED_COMMANDS)
+    def test_seed_at_the_ends_of_its_range(self, capsys, argv, seed):
+        code, out, err = run(capsys, *argv, "--seed", seed)
+        assert code == 0 and out and err == ""
 
     @pytest.mark.parametrize("argv", [["norms", "--dist", "uniform:8"], ["bounds", "--dist", "uniform:8", "--eps", "0.1"]])
     def test_seed_is_no_flag_of_norms_or_bounds(self, capsys, argv):
@@ -617,10 +638,19 @@ class TestParserGuards:
             assert set(reads) <= set(cli._BOUND_FLAGS)
 
 
-def test_import_loads_no_scipy():
-    # numpy is the one runtime dependency; scipy serves only the tests' oracles
+def _loaded_by_import(package: str) -> str:
+    """The modules of `package` in sys.modules after `import certbound.cli` in a fresh interpreter, as printed."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    code = "import sys, certbound, certbound.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    code = f"import sys, certbound, certbound.cli; print([m for m in sys.modules if (m + '.').startswith('{package}.')])"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_import_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy serves only the tests' oracles
+    assert _loaded_by_import("scipy") == "[]\n"
+
+
+def test_import_loads_no_numpy_random():
+    # numpy.random (~16 ms of start-up) loads at the first stream a command draws
+    assert _loaded_by_import("numpy.random") == "[]\n"

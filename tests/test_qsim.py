@@ -25,7 +25,7 @@ from certbound import (
 from certbound import boson, qsim
 from certbound.errors import MAX_OUTCOMES, InvalidParameterError, ResourceLimitError
 from certbound.qsim import DEFAULT_ANGLE_SET, fwht
-from certbound.rng import stream_rng
+from certbound.rng import stream_rng, stream_rngs
 
 from conftest import normalized_targets
 
@@ -596,3 +596,30 @@ class TestCircuitEnsemble:
         batched = list(ensemble.distributions(37))  # all kept, so a reused buffer would show
         single = [ensemble.instance_distribution(i) for i in range(37)]
         assert [p.entries.tobytes() for p in batched] == [p.entries.tobytes() for p in single]
+
+
+class TestStreamRngs:
+    """stream_rngs(seed, ids) makes the streams stream_rng(seed, i), keys hashed in one pass per batch."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("ids", [range(0, 1), range(1, 2), range(2**20 - 1, 2**20), range(1024), range(5, 5)])
+    def test_each_stream_is_stream_rng(self, seed, ids):
+        # the batch's uint32 products wrap without a RuntimeWarning, which the suite turns into an error
+        batch = list(stream_rngs(seed, ids))
+        assert len(batch) == len(ids)
+        for i, rng in zip(ids, batch):
+            ref = stream_rng(seed, i)
+            key, want = rng.bit_generator.state["state"]["key"], ref.bit_generator.state["state"]["key"]
+            assert key.tobytes() == want.tobytes()
+            assert rng.bit_generator.random_raw(64).tobytes() == ref.bit_generator.random_raw(64).tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        with pytest.raises(InvalidParameterError, match=r"seed must be in \[0, 2\^64\)"):
+            stream_rng(seed, 0)
+        with pytest.raises(InvalidParameterError, match=r"seed must be in \[0, 2\^64\)"):
+            stream_rngs(seed, range(3))  # before any stream is made
+
+    def test_ids_beyond_one_word_are_refused(self):
+        with pytest.raises(InvalidParameterError, match="ids must be in"):
+            stream_rngs(0, range(2**32 - 1, 2**32 + 1))
