@@ -28,7 +28,7 @@ _MASK = 0xFFFFFFFF
 
 def _check_seed(seed: int) -> int:
     seed = int(seed)
-    if not 0 <= seed < 2**64:  # SeedSequence would take any non-negative int, and the bits of one above 2^64
+    if not 0 <= seed < 2**64:  # refused, not masked: reports and manifests echo the seed as given
         raise InvalidParameterError(f"seed must be in [0, 2^64), got {seed}")
     return seed
 
