@@ -5,14 +5,15 @@ scale, and one subset-sum Ryser kernel, `_ryser`, evaluates every permanent,
 multiplying each outcome's subset sums photon by photon.  Phi is held as its
 sorted photon -> mode index rows, built a column at a time by numpy calls
 (`_sorted_rows`), and its prod_j s_j! denominators come from the run lengths
-of those rows.  `BosonEnsemble.distributions(count)` simulates instances in
-batches, as `qsim.CircuitEnsemble.distributions` does: Phi and its
-denominators are built once per sweep, each instance's two Ginibre matrices
-are drawn from its own stream (`rng.stream_rngs` hashes a batch's keys in one
-pass) into one (k, m, m) stack that one QR call factors, and one Ryser pass
-takes the stacked (k m, n) first columns with Phi's index rows offset by j m
-for instance j.  `boson_distribution` is the same kernel with one instance.
-The tail/concentration bounds are evaluated as fully explicit formulas.
+of those rows.  `BosonEnsemble.distributions(count)` runs every ensemble's
+one batch loop, `qsim._batched`, with a kernel that closes over Phi and its
+denominators, built once per sweep: each instance's two Ginibre matrices are
+drawn from its own stream into one (k, m, m) stack that one QR call factors,
+and one Ryser pass takes the stacked (k m, n) first columns with Phi's index
+rows offset by j m for instance j.  `boson_distribution` is the same kernel
+with one instance, and `_ryser` sums each row's signed products on its own,
+so an instance has the same bits alone and inside any batch.  The
+tail/concentration bounds are evaluated as fully explicit formulas.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import numpy as np
 
 from .distvec import ProbVec, _fsum
 from .errors import InvalidParameterError, ResourceLimitError, MAX_OUTCOMES, read_instance_json
-from .qsim import _check_unitary, _haar_unitaries, haar_unitary
-from .rng import stream_rng, stream_rngs
+from .qsim import _batched, _check_unitary, _ginibre, _haar_from_ginibre, haar_unitary
+from .rng import stream_rng
 
 # entries per chunk of the batched kernels (subset sums gathered by the Ryser kernel, occupation
 # numbers counted for labels, and the index rows and unitary entries of a batch of ensemble
@@ -219,21 +220,16 @@ def _subsets(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _ryser(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Perm(cols[r]) for each index row r: sum_S sign_S prod_i sums[r_i, S], sums = cols @ mask.T.
 
-    The rows are taken a chunk at a time, and no chunk holds a lone row
-    unless `rows` does: a last row that would be left alone joins the chunk
-    before it.  numpy takes a one-row product by its dot path, whose bits
-    differ from those of the matrix-vector (BLAS zgemv) path.  A batch of
-    instances has the bits of each instance alone only if zgemv gives each
-    row of a chunk of two or more the same bits wherever the row falls in
-    it.  numpy 2.4's scipy-openblas 0.3.31 does (no row of 8112 chunks of 2
-    to 40 rows and 1 to 255 columns moved, on x86-64); a BLAS or CPU kernel
-    that accumulates a block of rows together may not.
+    The rows are taken a chunk at a time.  Each chunk's products are
+    contracted with the signs by np.einsum, which calls no BLAS and sums each
+    row on its own, so a row has the same bits in any chunk, alone or not.
     """
     mask, sign = _subsets(cols.shape[1])
     sums = cols @ mask.T
-    step = max(2, _CHUNK_ENTRIES // mask.size)
-    ends = [0, *range(step, len(rows) - 1, step), len(rows)]
-    return np.concatenate([_products(sums, rows[i:j]) @ sign for i, j in itertools.pairwise(ends)])
+    step = max(1, _CHUNK_ENTRIES // mask.size)
+    return np.concatenate([
+        np.einsum("ij,j->i", _products(sums, rows[i : i + step]), sign) for i in range(0, len(rows), step)
+    ])
 
 
 def _products(sums: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -426,18 +422,16 @@ class BosonEnsemble:
         """instance_distribution(i) for i = 0 ... count-1, in index order, with the same bits.
 
         Phi and its denominators are built once.  Instances are simulated
-        max(1, _CHUNK_ENTRIES // (n |Phi| + m^2)) at a time, so a batch's index
-        rows and unitaries stay within _CHUNK_ENTRIES entries: one QR call
-        factors the batch's Ginibre stack and one Ryser pass serves all its
-        outcomes.  Each batch fills a fresh buffer, so no yielded ProbVec is
-        written again.
+        max(1, _CHUNK_ENTRIES // (n |Phi| + m^2)) at a time by `qsim._batched`,
+        so a batch's index rows and unitaries stay within _CHUNK_ENTRIES
+        entries: one QR call factors the batch's Ginibre stack and one Ryser
+        pass serves all its outcomes.
         """
         outcomes = OutcomeSpace(self.m, self.n)
         rows, denom = outcomes.rows, _factorials(outcomes.rows)
         size = max(1, _CHUNK_ENTRIES // (rows.size + self.m**2))
-        for start in range(0, count, size):
-            batch = range(start, min(start + size, count))
-            U = _haar_unitaries(self.m, list(stream_rngs(self.seed, batch)))
-            probs = _probabilities(U, rows, denom)
-            yield from map(ProbVec, probs)
-            del probs  # before the next batch is built
+
+        def batch(streams, k):
+            return _probabilities(_haar_from_ginibre(*_ginibre(streams, k, (self.m, self.m))), rows, denom)
+
+        return _batched(self.seed, count, size, batch)

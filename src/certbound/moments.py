@@ -9,7 +9,8 @@ An ensemble (qsim.CircuitEnsemble, boson.BosonEnsemble) is an object with
 - `kind`, its name, and `seed`, the seed that drives it;
 - `sample_space_size`, the number of outcomes of every instance.
 
-Each check sweeps instances 0 ... N-1 once, in index order, through
+Both ensembles' `distributions` run one batch loop, `qsim._batched`.  Each
+check sweeps instances 0 ... N-1 once, in index order, through
 `distributions`, and instance i always uses RNG stream (seed, i), so
 estimates are bit-for-bit reproducible from the seed alone.
 """

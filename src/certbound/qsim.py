@@ -12,17 +12,14 @@ broadcast matmul from one complex state buffer into another, allocated once.
 `_row_probabilities` is the one place where |a|^2 is formed, as re^2 + im^2
 in place, so IQP and Haar-state simulation allocates no complex array at all.
 
-`CircuitEnsemble.distributions(count)` simulates IQP and Haar-state
-instances whose 2^n is below _BATCH_ENTRIES (2^14) in batches of
-_BATCH_ENTRIES >> n: one phase build, one cos and one sin, two FWHTs and
-one normalization per batch, with every instance drawn from its own stream
-and equal bit for bit to `instance_distribution(i)`.  The IQP kernels take
-a stack of weight matrices: a batch draws its streams' weights through one
-`_random_weights` call, which mirrors the whole stack's upper triangles at
-once, and `IqpWeights.random` is that call with one stream, passed through
-the checked constructor, which every IqpWeights goes through.  A batch's
-streams come from `rng.stream_rngs`, which hashes their keys in one pass.
-The single-instance functions are the same kernels with one row.
+Every ensemble, here and in `boson`, sweeps through one batch loop,
+`_batched`, which hands a kernel each batch's streams and yields its rows.
+`CircuitEnsemble._rows` is the one place that picks a simulator by kind, and
+`instance_distribution(i)` is that kernel fed the one stream (seed, i).  An
+IQP or Haar-state batch of _BATCH_ENTRIES >> n instances takes one phase
+build or `_ginibre` draw, two FWHTs and one normalization; IQP weights are
+drawn as one stack by `_random_weights`, and `IqpWeights.random` is that call
+with one stream.  The single-instance functions are the same kernels with one row.
 """
 
 from __future__ import annotations
@@ -123,39 +120,40 @@ class CircuitEnsemble:
 
     def instance_distribution(self, instance: int) -> ProbVec:
         """Output distribution of the `instance`-th member (reproducible)."""
-        rng = stream_rng(self.seed, instance)
-        if self.kind == "iqp":
-            return iqp_output_distribution(IqpWeights.random(self.n, rng))
-        if self.kind == "haar_state":
-            return haar_state_distribution(self.n, rng)
-        return local_random_circuit_distribution(self.n, self.depth, rng)
+        return ProbVec(self._rows([stream_rng(self.seed, instance)], 1)[0])
 
     def distributions(self, count: int):
         """instance_distribution(i) for i = 0 ... count-1, in index order, with the same bits.
 
         IQP and Haar-state instances are simulated max(1, _BATCH_ENTRIES >> n)
-        at a time; local random circuits one at a time, as their gate sites
-        differ per instance.  Each batch fills a fresh buffer, so no yielded
-        ProbVec is written again.
+        at a time.  A local random circuit is a batch of its own: its gate
+        sites differ per instance, so a batch would only loop over circuits,
+        and batches of 16 ran the n=10, depth-60 sweep ~4% slower.
         """
-        if self.kind == "local_random":
-            return map(self.instance_distribution, range(count))
-        return self._batches(count)
+        size = 1 if self.kind == "local_random" else max(1, _BATCH_ENTRIES >> self.n)
+        return _batched(self.seed, count, size, self._rows)
 
-    def _batches(self, count: int):
-        size = max(1, _BATCH_ENTRIES >> self.n)
-        for start in range(0, count, size):
-            batch = range(start, min(start + size, count))
-            # each stream is made when its instance draws and dropped after it: a list of the 1 024
-            # streams of a Haar n=4 batch raised that sweep's peak RSS by ~1.8 MB.  An IQP instance
-            # is its drawn weight matrix: no IqpWeights is built per instance.
-            rngs = stream_rngs(self.seed, batch)
-            if self.kind == "iqp":
-                rows = _iqp_probabilities(_random_weights(self.n, rngs))
-            else:
-                rows = _haar_probabilities(self.n, rngs, len(batch))
-            yield from map(ProbVec, rows)
-            del rows  # before the next batch is built
+    def _rows(self, streams, k: int):
+        """The distributions of the k instances drawn from `streams`, one row each (no IqpWeights per instance)."""
+        if self.kind == "iqp":
+            return _iqp_probabilities(_random_weights(self.n, streams))
+        if self.kind == "haar_state":
+            return _row_probabilities(*_ginibre(streams, k, (2**self.n,)))
+        return [_local_random_probabilities(self.n, self.depth, rng) for rng in streams]
+
+
+def _batched(seed: int, count: int, size: int, rows):
+    """A ProbVec of each row of rows(streams, k), for instances 0 ... count-1 in batches of `size`.
+
+    Each stream is made when its instance draws and dropped after it (a list of
+    a Haar n=4 batch's 1 024 streams cost ~1.8 MB of peak RSS), and each batch's
+    fresh rows are dropped before the next is built, so no yielded ProbVec is written again.
+    """
+    for start in range(0, count, size):
+        batch = range(start, min(start + size, count))
+        probs = rows(stream_rngs(seed, batch), len(batch))
+        yield from map(ProbVec, probs)
+        del probs  # before the next batch is built
 
 
 def _check_qubits(n: int):
@@ -277,7 +275,7 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     measurable and the resulting Q exactly Haar-distributed.
     """
     _check_unitary(d)
-    return _haar_unitaries(d, [rng])[0]
+    return _haar_from_ginibre(*_ginibre([rng], 1, (d, d)))[0]
 
 
 def _check_unitary(d: int):
@@ -288,13 +286,13 @@ def _check_unitary(d: int):
         raise ResourceLimitError(f"a {d} x {d} unitary exceeds the cap of {MAX_OUTCOMES} entries")
 
 
-def _haar_unitaries(d: int, rngs: list[np.random.Generator]) -> np.ndarray:
-    """haar_unitary(d, rng) for each stream of `rngs`, as a (len(rngs), d, d) stack."""
-    re, im = np.empty((len(rngs), d, d)), np.empty((len(rngs), d, d))
-    for j, rng in enumerate(rngs):
+def _ginibre(streams, k: int, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary (k, *shape) Gaussian stacks of the k `streams`; each draws its real part first."""
+    re, im = np.empty((k, *shape)), np.empty((k, *shape))
+    for j, rng in enumerate(streams):
         rng.standard_normal(out=re[j])
         rng.standard_normal(out=im[j])
-    return _haar_from_ginibre(re, im)
+    return re, im
 
 
 def _haar_from_ginibre(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -315,16 +313,7 @@ def haar_state_distribution(n: int, rng: np.random.Generator) -> ProbVec:
     same distribution as the first column of a Haar unitary.
     """
     _check_qubits(n)
-    return ProbVec(_haar_probabilities(n, [rng], 1)[0])
-
-
-def _haar_probabilities(n: int, rngs, rows: int) -> np.ndarray:
-    """haar_state_distribution(n, rng) for each of the `rows` streams that `rngs` yields, one row each."""
-    re, im = np.empty((rows, 2**n)), np.empty((rows, 2**n))
-    for j, rng in enumerate(rngs):
-        rng.standard_normal(out=re[j])
-        rng.standard_normal(out=im[j])
-    return _row_probabilities(re, im)
+    return ProbVec(_row_probabilities(*_ginibre([rng], 1, (2**n,)))[0])
 
 
 def local_random_circuit_distribution(n: int, depth: int, rng: np.random.Generator) -> ProbVec:
@@ -338,6 +327,11 @@ def local_random_circuit_distribution(n: int, depth: int, rng: np.random.Generat
     """
     _check_qubits(n)
     _check_gates(n, depth)
+    return ProbVec(_local_random_probabilities(n, depth, rng))
+
+
+def _local_random_probabilities(n: int, depth: int, rng: np.random.Generator) -> np.ndarray:
+    """local_random_circuit_distribution(n, depth, rng) as a row of probabilities."""
     d = 2 if n == 1 else 4
     sites = np.zeros(depth, dtype=np.int64)
     re, im = np.empty((depth, d, d)), np.empty((depth, d, d))
@@ -352,7 +346,7 @@ def local_random_circuit_distribution(n: int, depth: int, rng: np.random.Generat
         np.matmul(gate, psi.reshape(2**q, d, -1), out=out.reshape(2**q, d, -1))
         psi, out = out, psi
     del out  # so that the probability step's buffers take its place
-    return ProbVec(_row_probabilities(psi.real, psi.imag))
+    return _row_probabilities(psi.real, psi.imag)
 
 
 # Steps up that a draw may take from its bucket's start before it falls back to a binary search, so

@@ -85,10 +85,24 @@ def _mix(x: int, y: int) -> int:
 def _philox_keys(seed: int, ids: range) -> np.ndarray:
     """The (len(ids), 2) uint64 Philox keys of SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64).
 
-    The pool's first 16 hash steps see only the seed, zero-padded to 4 words,
-    so they run once on Python ints; the id word and the key draw run on
-    (ids, 4) uint32 arrays, whose products wrap mod 2^32 with no warning.
+    The id word and the key draw run on (ids, 4) uint32 arrays, whose
+    products wrap mod 2^32 with no warning.
     """
+    word = np.arange(ids.start, ids.stop, ids.step, dtype=np.uint32)[:, None]
+    hashed = (word ^ _ID_XOR) * _ID_MUL
+    hashed ^= hashed >> 16
+    state = _seed_pool(seed) - _MIX_R_U32 * hashed  # _mix, wrapping
+    state ^= state >> 16
+    state ^= _KEY_XOR
+    state *= _KEY_MUL
+    state ^= state >> 16
+    return state.astype("<u4").view("<u8").astype(np.uint64)  # as generate_state reads 4 words as 2
+
+
+@functools.lru_cache(maxsize=1)
+def _seed_pool(seed: int) -> np.ndarray:
+    """_MIX_L * w mod 2^32 of each pool word after the 16 hash steps that see only the seed, as a
+    read-only uint32 row: they run on Python ints, once per seed rather than once per batch."""
     words = [seed & _MASK, seed >> 32] if seed >> 32 else [seed]
     pool = [_hash(w, i) for i, w in enumerate(words + [0] * (4 - len(words)))]
     step = 4
@@ -97,15 +111,9 @@ def _philox_keys(seed: int, ids: range) -> np.ndarray:
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hash(pool[src], step))
                 step += 1
-    word = np.arange(ids.start, ids.stop, ids.step, dtype=np.uint32)[:, None]
-    hashed = (word ^ _ID_XOR) * _ID_MUL
-    hashed ^= hashed >> 16
-    state = np.array([_MIX_L * x & _MASK for x in pool], np.uint32) - _MIX_R_U32 * hashed  # _mix, wrapping
-    state ^= state >> 16
-    state ^= _KEY_XOR
-    state *= _KEY_MUL
-    state ^= state >> 16
-    return state.astype("<u4").view("<u8").astype(np.uint64)  # as generate_state reads 4 words as 2
+    row = np.array([_MIX_L * x & _MASK for x in pool], np.uint32)
+    row.flags.writeable = False
+    return row
 
 
 @functools.cache

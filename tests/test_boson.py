@@ -414,6 +414,17 @@ class TestBatchedRyser:
             rows = OutcomeSpace(m, n).rows
             assert boson._products(sums, rows).tobytes() == sums[rows].prod(axis=1).tobytes()
 
+    @pytest.mark.parametrize("n, m", [(1, 5), (3, 9), (5, 16)])
+    def test_each_row_has_its_bits_in_any_chunk(self, n, m, monkeypatch):
+        # each row's signed sum is taken on its own, so no chunk size (nor BLAS kernel) moves a row's bits
+        cols = BosonInstance.haar(n, m, stream_rng(18)).U[:, :n]
+        rows = OutcomeSpace(m, n).rows
+        alone = b"".join(boson._ryser(cols, rows[r : r + 1]).tobytes() for r in range(len(rows)))
+        assert boson._ryser(cols, rows).tobytes() == alone  # at the default chunk
+        for chunk_rows in (1, 2, 3, 5):
+            monkeypatch.setattr(boson, "_CHUNK_ENTRIES", chunk_rows * n * (2**n - 1))
+            assert boson._ryser(cols, rows).tobytes() == alone
+
     def test_peak_memory_at_the_cap(self):
         # 962 598 outcomes; the kernel that gathered a (rows, n, 2^n - 1) block per chunk peaked at 46.3 MiB,
         # and taking the products photon by photon may not cost more than 1 MiB over that

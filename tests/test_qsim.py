@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import tracemalloc
@@ -16,6 +17,7 @@ from certbound import (
     CircuitEnsemble,
     IqpWeights,
     ProbVec,
+    boson_distribution,
     haar_state_distribution,
     haar_unitary,
     iqp_output_distribution,
@@ -596,6 +598,57 @@ class TestCircuitEnsemble:
         batched = list(ensemble.distributions(37))  # all kept, so a reused buffer would show
         single = [ensemble.instance_distribution(i) for i in range(37)]
         assert [p.entries.tobytes() for p in batched] == [p.entries.tobytes() for p in single]
+
+
+def _public_distribution(kind, size, rng):
+    """The distribution that the public single-instance call of `kind` draws from `rng`."""
+    if kind == "iqp":
+        return iqp_output_distribution(IqpWeights.random(size, rng))
+    if kind == "haar_state":
+        return haar_state_distribution(size, rng)
+    if kind == "local_random":
+        return local_random_circuit_distribution(size, 6, rng)
+    return boson_distribution(BosonInstance.haar(*size, rng))[0]
+
+
+class TestEnsemblesMatchThePublicFunctions:
+    """Instance i of each ensemble has the bits of the public single-instance call on stream (seed, i)."""
+
+    @pytest.mark.parametrize("seed", [3, 2**33 + 1])
+    @pytest.mark.parametrize(
+        "kind, size",
+        [("iqp", n) for n in (1, 3, 6)]
+        + [("haar_state", n) for n in (1, 4, 7)]
+        + [("local_random", n) for n in (1, 3, 5)]
+        + [("boson", nm) for nm in ((1, 4), (2, 5), (3, 6))],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_instance_has_the_bits_of_the_public_call(self, kind, size, seed):
+        if kind == "boson":
+            ensemble = BosonEnsemble(*size, seed=seed)
+        else:
+            ensemble = CircuitEnsemble(kind=kind, n=size, seed=seed, depth=6 if kind == "local_random" else 0)
+        swept = list(ensemble.distributions(41))  # one batch, or a batch an instance for local random circuits
+        for i in (0, 1, 7, 40):
+            want = _public_distribution(kind, size, stream_rng(seed, i)).entries.tobytes()
+            assert ensemble.instance_distribution(i).entries.tobytes() == want
+            assert swept[i].entries.tobytes() == want
+        if kind == "boson":
+            # U' = i conj(U) if the real and imaginary Ginibre draws swap, and no distribution sees it: so the
+            # interferometer is checked against one whose Ginibre matrix the oracle draws itself, real part first
+            for i in (0, 7):
+                oracle = _per_gate_haar_unitary(ensemble.m, stream_rng(seed, i))
+                assert np.allclose(ensemble.instance(i).U, oracle, rtol=0, atol=1e-13)
+
+    def test_one_batch_loop_in_the_package(self):
+        # every sweep makes its streams in qsim._batched, and no Ryser sum is left to a BLAS matrix-vector product
+        src = Path(qsim.__file__).parent
+        texts = {f.name: f.read_text() for f in sorted(src.glob("*.py"))}
+        assert [name for name, text in texts.items() if name != "rng.py" for _ in range(text.count("stream_rngs("))] == [
+            "qsim.py"
+        ]
+        assert "stream_rngs(" in inspect.getsource(qsim._batched)
+        assert not any("@ sign" in text for text in texts.values())
 
 
 class TestStreamRngs:
