@@ -3,17 +3,18 @@
 Distributions are exact over the full mode-occupation sample space at desk
 scale, and one subset-sum Ryser kernel, `_ryser`, evaluates every permanent,
 multiplying each outcome's subset sums photon by photon.  Phi is held as its
-sorted photon -> mode index rows, built a column at a time by numpy calls
-(`_sorted_rows`), and its prod_j s_j! denominators come from the run lengths
-of those rows.  `BosonEnsemble.distributions(count)` runs every ensemble's
-one batch loop, `qsim._batched`, with a kernel that closes over Phi and its
-denominators, built once per sweep: each instance's two Ginibre matrices are
-drawn from its own stream into one (k, m, m) stack that one QR call factors,
-and one Ryser pass takes the stacked (k m, n) first columns with Phi's index
-rows offset by j m for instance j.  `boson_distribution` is the same kernel
-with one instance, and `_ryser` sums each row's signed products on its own,
-so an instance has the same bits alone and inside any batch.  The
-tail/concentration bounds are evaluated as fully explicit formulas.
+sorted photon -> mode index rows, built a column at a time by prefix
+expansion (`_sorted_rows`), and its prod_j s_j! denominators come from the
+run lengths of those rows.  `BosonEnsemble.distributions(count)` runs every
+ensemble's one batch loop, `qsim._batched`, with a kernel that closes over
+Phi and its denominators, built once per sweep: each instance's two Ginibre
+matrices are drawn from its own stream into one (k, m, m) stack that one QR
+call factors, and one Ryser pass takes the stacked (k m, n) first columns
+with Phi's index rows offset by j m for instance j.  `boson_distribution` is
+the same kernel with one instance, and `_ryser` sums each row's signed
+products on its own, so an instance has the same bits alone and inside any
+batch.  The tail/concentration bounds are evaluated as fully explicit
+formulas.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ class OutcomeSpace(Sequence):
         size = math.comb(m, n) if collision_free_only else math.comb(m + n - 1, n)
         if size > MAX_OUTCOMES:
             raise ResourceLimitError(f"|Phi| = {size} exceeds the cap of {MAX_OUTCOMES}")
-        self.m, self.rows = m, _sorted_rows(m, n, size, int(collision_free_only))
+        self.m, self.rows = m, _sorted_rows(m, n, int(collision_free_only))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -165,39 +166,24 @@ class OutcomeSpace(Sequence):
         return list(itertools.chain.from_iterable(map(_occupation_text, self._counts())))
 
 
-def _sorted_rows(m: int, n: int, size: int, gap: int) -> np.ndarray:
-    """The (size, n) rows of itertools' combinations_with_replacement(range(m), n) (gap 0) or
-    combinations(range(m), n) (gap 1), in its order, built a column at a time in the rows' dtype.
+def _sorted_rows(m: int, n: int, gap: int) -> np.ndarray:
+    """The rows of itertools' combinations_with_replacement(range(m), n) (gap 0) or
+    combinations(range(m), n) (gap 1), in its order, in the smallest dtype that holds m - 1.
 
-    The distinct length-(k + 1) prefixes of the rows, in order, end in the
-    entries `col`: a prefix of length k that ends at u extends to u + gap,
-    u + gap + 1, ..., top.  So `col` is a cumsum of +1 steps, except that
-    each group's first step jumps from the previous group's top down to its
-    own start; the cumsum runs in the rows' unsigned dtype, where that
-    negative jump wraps exactly.  Column k is `col` with each entry repeated
-    once per completion of its prefix to a full row.
+    They are built by prefix expansion, a column at a time: a distinct
+    prefix of length k that ends at u extends to u + gap, ..., top, where
+    top leaves room for the entries after it (to none, if gap 1 and n > m).
+    So each prefix's row is repeated once per extension, and column k is a
+    ragged int32 arange over the prefixes.  Columns past k are filled later.
     """
-    dtype = np.min_scalar_type(m - 1)
-    rows = np.empty((size, n), dtype)
-    if not size:  # collision-free with n > m
-        return rows
-    last = np.array([-gap])  # the last entry of each distinct prefix, from the empty prefix on
+    rows, last = np.zeros((1, n), np.min_scalar_type(m - 1)), np.array([-gap], np.int32)  # the empty prefix
     for k in range(n):
-        rest = n - 1 - k  # entries after the k-th
-        top = m - 1 - gap * rest
         starts = last + gap
-        width = top + 1 - starts
-        steps = np.ones(int(width.sum()), dtype)
-        starts[1:] -= top
-        steps[np.cumsum(width) - width] = starts.astype(dtype)  # a jump below 0 wraps modulo 2^bits
-        col = np.cumsum(steps, dtype=dtype)
-        if not rest:
-            rows[:, k] = col
-            break
-        # a prefix ending at v has this many completions: rest entries from v (gap 0) or v + 1 (gap 1) to m - 1
-        completions = np.array([math.comb(m - 1 - v + rest * (1 - gap), rest) for v in range(m)])
-        rows[:, k] = np.repeat(col, completions[col])
-        last = col.astype(np.int64)
+        width = (m - gap * (n - 1 - k) - starts).clip(0)  # top + 1 - start
+        last = np.repeat(starts - (np.cumsum(width, dtype=np.int32) - width), width)
+        last += np.arange(len(last), dtype=np.int32)
+        rows = np.repeat(rows, width, axis=0)
+        rows[:, k] = last
     return rows
 
 

@@ -399,7 +399,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
-    except (InvalidParameterError, OSError, KeyError, ValueError, OverflowError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError, OverflowError) as exc:  # InvalidParameterError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -275,7 +275,7 @@ def renyi_entropy(v: ProbVec, alpha: float) -> float:
         return min_entropy(v)
     if alpha == 0:
         return math.log2(np.count_nonzero(v.entries))
-    return alpha / (1.0 - alpha) * math.log2(lp_quasinorm(v, alpha))
+    return alpha / (1.0 - alpha) * math.log2(lp_quasinorm(v, alpha)) + 0.0  # +0.0 for a point mass, not -0.0
 
 
 def min_entropy(v: ProbVec) -> float:
@@ -285,4 +285,4 @@ def min_entropy(v: ProbVec) -> float:
     m = float(v.entries.max())
     if m <= 0:
         raise InvalidParameterError("all-zero vector has no min-entropy")
-    return -math.log2(m)
+    return 0.0 - math.log2(m)  # +0.0 for a point mass, where -log2(1.0) is -0.0

@@ -6,31 +6,37 @@ from a 64-bit root seed in [0, 2^64) and an arbitrary tuple of stream
 identifiers.  A stream's draws therefore depend only on the seed and its
 identifiers, not on which other streams were drawn before it.  Library calls
 that draw take the `np.random.Generator` itself, as a parameter named `rng`;
-`stream_rng(seed)` is the root stream of a seed.
+`stream_rng(seed)` is the root stream of a seed.  A seed that is not an
+integer (a float, a string, a bool) is refused, not truncated.
 
 `stream_rngs(seed, ids)` makes the streams `stream_rng(seed, i)` of a batch of
-ids.  It derives every Philox key of the batch in one vectorized pass of
-numpy's SeedSequence hash (O'Neill's seed_seq mix, as numpy 1.19 and later
-run it) instead of one Python-paced SeedSequence per stream.  Neither
-function imports `numpy.random` before its first call.
+ids.  It runs numpy's SeedSequence hash (O'Neill's seed_seq mix, as numpy
+1.19 and later run it) as the uint32-array steps `_hash` and `_mix`: on the
+seed's pool once per seed, then on every key of the batch in one pass.
+Neither function imports `numpy.random` before its first call.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 
 import numpy as np
 
 from .errors import InvalidParameterError
 
-_MASK = 0xFFFFFFFF
-
 
 def _check_seed(seed: int) -> int:
-    seed = int(seed)
-    if not 0 <= seed < 2**64:  # refused, not masked: reports and manifests echo the seed as given
-        raise InvalidParameterError(f"seed must be in [0, 2^64), got {seed}")
-    return seed
+    try:  # operator.index takes Python and numpy integers, and refuses floats, strings and numpy bools
+        value = operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or isinstance(seed, bool):
+        raise InvalidParameterError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= value < 2**64:  # refused, not masked: reports and manifests echo the seed as given
+        raise InvalidParameterError(f"seed must be in [0, 2^64), got {value}")
+    return value
 
 
 def stream_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -50,70 +56,44 @@ def stream_rngs(seed: int, ids: range):
     return (np.random.Generator(np.random.Philox(holder(key))) for key in _philox_keys(_check_seed(seed), ids))
 
 
-def _constants(init: int, mult: int, count: int) -> list[int]:
-    """init * mult^i mod 2^32 for i = 0 ... count - 1: the hash constants of SeedSequence's successive steps."""
-    out = [init]
-    while len(out) < count:
-        out.append(out[-1] * mult & _MASK)
-    return out
-
-
 # A SeedSequence with a one-word spawn key fills its pool in 20 hash steps (constants A: 4 for the
 # seed words, 12 for the cross-mix, 4 for the id word) and draws the 4 words of a Philox key from it
-# (constants B); hash step i xors with C[i] and multiplies by C[i + 1].
-_HASH_A = _constants(0x43B0D7E5, 0x931E8875, 21)
-_HASH_B = _constants(0x8B51F9DD, 0x58F38DED, 5)
+# (constants B); hash step i xors with C[i] = init * mult^i mod 2^32 and multiplies by C[i + 1].
+_HASH_A = np.cumprod(np.array([0x43B0D7E5] + [0x931E8875] * 20, np.uint32), dtype=np.uint32)
+_HASH_B = np.cumprod(np.array([0x8B51F9DD] + [0x58F38DED] * 4, np.uint32), dtype=np.uint32)
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# the same constants as uint32 rows, for the steps that run on a batch: the id word's hash into
-# each pool word (steps 16 ... 19), the mix, and the key draw
-_ID_XOR, _ID_MUL = np.array(_HASH_A[16:20], np.uint32), np.array(_HASH_A[17:21], np.uint32)
-_KEY_XOR, _KEY_MUL = np.array(_HASH_B[:4], np.uint32), np.array(_HASH_B[1:5], np.uint32)
-_MIX_R_U32 = np.uint32(_MIX_R)
 
 
-def _hash(value: int, step: int) -> int:
-    """Hash step `step` of the pool: xor, multiply mod 2^32, xor-shift."""
-    value = (value ^ _HASH_A[step]) * _HASH_A[step + 1] & _MASK
+def _hash(value: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """Hash steps along value's last axis: entry j xors with const[j], multiplies by const[j + 1], xor-shifts.
+
+    Every step here runs on uint32 arrays, never numpy scalars: array products wrap silently, scalar ones warn.
+    """
+    value = (value ^ const[:-1]) * const[1:]
     return value ^ value >> 16
 
 
-def _mix(x: int, y: int) -> int:
-    value = (_MIX_L * x - _MIX_R * y) & _MASK
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = _MIX_L * x - _MIX_R * y
     return value ^ value >> 16
 
 
 def _philox_keys(seed: int, ids: range) -> np.ndarray:
-    """The (len(ids), 2) uint64 Philox keys of SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64).
-
-    The id word and the key draw run on (ids, 4) uint32 arrays, whose
-    products wrap mod 2^32 with no warning.
-    """
+    """The (len(ids), 2) uint64 Philox keys of SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)."""
     word = np.arange(ids.start, ids.stop, ids.step, dtype=np.uint32)[:, None]
-    hashed = (word ^ _ID_XOR) * _ID_MUL
-    hashed ^= hashed >> 16
-    state = _seed_pool(seed) - _MIX_R_U32 * hashed  # _mix, wrapping
-    state ^= state >> 16
-    state ^= _KEY_XOR
-    state *= _KEY_MUL
-    state ^= state >> 16
+    state = _hash(_mix(_seed_pool(seed), _hash(word, _HASH_A[16:])), _HASH_B)
     return state.astype("<u4").view("<u8").astype(np.uint64)  # as generate_state reads 4 words as 2
 
 
 @functools.lru_cache(maxsize=1)
 def _seed_pool(seed: int) -> np.ndarray:
-    """_MIX_L * w mod 2^32 of each pool word after the 16 hash steps that see only the seed, as a
-    read-only uint32 row: they run on Python ints, once per seed rather than once per batch."""
-    words = [seed & _MASK, seed >> 32] if seed >> 32 else [seed]
-    pool = [_hash(w, i) for i, w in enumerate(words + [0] * (4 - len(words)))]
-    step = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], step))
-                step += 1
-    row = np.array([_MIX_L * x & _MASK for x in pool], np.uint32)
-    row.flags.writeable = False
-    return row
+    """The 4 pool words after the 16 hash steps that see only the seed (its two words, zero-padded,
+    then their cross-mix on 1-element slices), as a read-only uint32 row, once per seed."""
+    pool = _hash(np.array([seed % 2**32, seed >> 32, 0, 0], np.uint32), _HASH_A[:5])
+    for step, (src, dst) in enumerate(itertools.permutations(range(4), 2), start=4):
+        pool[dst : dst + 1] = _mix(pool[dst : dst + 1], _hash(pool[src : src + 1], _HASH_A[step : step + 2]))
+    pool.flags.writeable = False
+    return pool
 
 
 @functools.cache

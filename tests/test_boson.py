@@ -129,9 +129,11 @@ class TestEnumeratePhi:
 
     @pytest.mark.parametrize("free", [False, True])
     def test_rows_are_the_itertools_rows(self, free):
-        # every small space, n = 0 and collision-free n > m among them, the uint8 -> uint16 step and a uint32 one
+        # every small space, n = 0 and collision-free n > m among them, the uint8 -> uint16 step and a uint32 one,
+        # and (1000, 2) and (60, 3), whose int32 prefix aranges run to ~5e5 and ~4e4 rows
         pick = itertools.combinations if free else itertools.combinations_with_replacement
         shapes = [(m, n) for m in range(1, 9) for n in range(6)] + [(256, 2), (257, 2), (300, 2), (70_000, 1)]
+        shapes += [(1000, 2), (60, 3)]
         for m, n in shapes:
             want = list(pick(range(m), n))
             want = np.array(want, dtype=np.min_scalar_type(m - 1)).reshape(len(want), n)

@@ -38,6 +38,11 @@ class TestTesterConfig:
         with pytest.raises(InvalidParameterError):
             TesterConfig(eps=0.5, samples=10, calibration_runs=50)
 
+    @pytest.mark.parametrize("seed", [1.5, "5", True])
+    def test_non_integer_seed_is_refused_not_truncated(self, seed):
+        with pytest.raises(InvalidParameterError, match="seed must be an integer"):
+            CertificationTester(ProbVec.uniform(8), TesterConfig(eps=0.5, samples=10, seed=seed))
+
     def test_sample_cap(self):
         assert TesterConfig(eps=0.5, samples=MAX_DRAWS).samples == MAX_DRAWS
         with pytest.raises(ResourceLimitError, match="samples"):

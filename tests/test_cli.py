@@ -36,6 +36,11 @@ class TestNorms:
         assert data["core_support"] == 3
         assert data["min_entropy_bits"] == pytest.approx(2.0)
 
+    def test_point_mass_entropies_print_as_plus_zero(self, capsys):
+        code, out, _ = run(capsys, "norms", "--dist", "pointmass:4")
+        assert code == 0
+        assert '"min_entropy_bits": 0.0' in out and '"renyi2_bits": 0.0' in out and "-0.0" not in out
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "norms", "--dist", "/nonexistent.json")
         assert code == 1

@@ -461,6 +461,13 @@ class TestEntropies:
         direct = -math.log2(math.fsum((v.entries**2).tolist()))
         assert renyi_entropy(v, 2) == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_point_mass_entropies_are_plus_zero(self, d):
+        # -log2(1.0) and 2 / (1 - 2) * 0.0 are -0.0; the sign bit must be clear
+        v = ProbVec.point_mass(d)
+        for h in (min_entropy(v), renyi_entropy(v, 2), renyi_entropy(v, 0.5), renyi_entropy(v, math.inf)):
+            assert h == 0.0 and math.copysign(1.0, h) == 1.0
+
     def test_renyi_rejections(self):
         with pytest.raises(InvalidParameterError):
             renyi_entropy(ProbVec.uniform(4), 1)

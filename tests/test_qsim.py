@@ -27,7 +27,7 @@ from certbound import (
 from certbound import boson, qsim
 from certbound.errors import MAX_OUTCOMES, InvalidParameterError, ResourceLimitError
 from certbound.qsim import DEFAULT_ANGLE_SET, fwht
-from certbound.rng import stream_rng, stream_rngs
+from certbound.rng import _hash, _mix, stream_rng, stream_rngs
 
 from conftest import normalized_targets
 
@@ -651,6 +651,13 @@ class TestEnsemblesMatchThePublicFunctions:
         assert not any("@ sign" in text for text in texts.values())
 
 
+    def test_seed_sequence_hash_is_written_once(self):
+        # the xor-shift of SeedSequence's hash and of its mix each appear once, in _hash and _mix
+        text = Path(inspect.getsourcefile(stream_rngs)).read_text()
+        assert text.count(">> 16") == 2
+        assert ">> 16" in inspect.getsource(_hash) and ">> 16" in inspect.getsource(_mix)
+
+
 class TestStreamRngs:
     """stream_rngs(seed, ids) makes the streams stream_rng(seed, i), keys hashed in one pass per batch."""
 
@@ -672,6 +679,24 @@ class TestStreamRngs:
             stream_rng(seed, 0)
         with pytest.raises(InvalidParameterError, match=r"seed must be in \[0, 2\^64\)"):
             stream_rngs(seed, range(3))  # before any stream is made
+
+    @pytest.mark.parametrize("seed", [3.7, 5.0, "5", True, False, np.True_, None])
+    def test_non_integer_seed_is_refused(self, seed):
+        # refused, not truncated: a report would echo 3.7 and carry the bits of seed 3
+        with pytest.raises(InvalidParameterError, match=r"seed must be an integer, got "):
+            stream_rng(seed, 0)
+        with pytest.raises(InvalidParameterError, match=r"seed must be an integer, got "):
+            stream_rngs(seed, range(3))
+        with pytest.raises(InvalidParameterError, match=r"seed must be an integer, got "):
+            list(CircuitEnsemble(kind="iqp", n=3, seed=seed).distributions(2))
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(2**64 - 1)])
+    def test_numpy_integer_seed_has_the_int_bits(self, seed):
+        want = stream_rng(int(seed), 3).bit_generator.random_raw(8)
+        assert stream_rng(seed, 3).bit_generator.random_raw(8).tobytes() == want.tobytes()
+        assert next(stream_rngs(seed, range(3, 4))).bit_generator.random_raw(8).tobytes() == want.tobytes()
+        ensemble = CircuitEnsemble(kind="iqp", n=3, seed=seed)
+        assert next(ensemble.distributions(1)).entries.tobytes() == ensemble.instance_distribution(0).entries.tobytes()
 
     def test_ids_beyond_one_word_are_refused(self):
         with pytest.raises(InvalidParameterError, match="ids must be in"):
