@@ -5,16 +5,15 @@ scale, and one subset-sum Ryser kernel, `_ryser`, evaluates every permanent,
 multiplying each outcome's subset sums photon by photon.  Phi is held as its
 sorted photon -> mode index rows, built a column at a time by prefix
 expansion (`_sorted_rows`), and its prod_j s_j! denominators come from the
-run lengths of those rows.  `BosonEnsemble.distributions(count)` runs every
-ensemble's one batch loop, `qsim._batched`, with a kernel that closes over
-Phi and its denominators, built once per sweep: each instance's two Ginibre
-matrices are drawn from its own stream into one (k, m, m) stack that one QR
-call factors, and one Ryser pass takes the stacked (k m, n) first columns
-with Phi's index rows offset by j m for instance j.  `boson_distribution` is
-the same kernel with one instance, and `_ryser` sums each row's signed
-products on its own, so an instance has the same bits alone and inside any
-batch.  The tail/concentration bounds are evaluated as fully explicit
-formulas.
+run lengths of those rows.  `BosonEnsemble` supplies every ensemble's one
+sweep, `qsim._Sweep`, with a kernel factory that builds Phi and its
+denominators once per call: a batch's Ginibre matrices, each drawn from its
+instance's stream, are one (k, m, m) stack that one QR call factors, and one
+Ryser pass takes the stacked (k m, n) first columns with Phi's index rows
+offset by j m for instance j.  `boson_distribution` is that pass on one given
+interferometer, and `_ryser` sums each row's signed products on its own, so
+an instance has the same bits alone and inside any batch.  The
+tail/concentration bounds are evaluated as fully explicit formulas.
 """
 
 from __future__ import annotations
@@ -32,8 +31,13 @@ import numpy as np
 
 from .distvec import ProbVec, _fsum
 from .errors import InvalidParameterError, ResourceLimitError, MAX_OUTCOMES, read_instance_json
-from .qsim import _batched, _check_unitary, _ginibre, _haar_from_ginibre, haar_unitary
+from .qsim import _Sweep, _check_unitary, _ginibre, _haar_from_ginibre, haar_unitary
 from .rng import stream_rng
+
+# Caps on an OutcomeSpace beside |Phi| <= MAX_OUTCOMES: its photons, as many as a capped unitary has modes,
+# and its n |Phi| row entries, which every space of up to 8 photons under the |Phi| cap keeps to
+_MAX_PHOTONS = math.isqrt(MAX_OUTCOMES)
+_MAX_ROW_ENTRIES = 8 * MAX_OUTCOMES
 
 # entries per chunk of the batched kernels (subset sums gathered by the Ryser kernel, occupation
 # numbers counted for labels, and the index rows and unitary entries of a batch of ensemble
@@ -137,9 +141,13 @@ class OutcomeSpace(Sequence):
     def __init__(self, m: int, n: int, collision_free_only: bool = False):
         if m < 1 or n < 0:
             raise InvalidParameterError("need m >= 1 and n >= 0")
+        if n > _MAX_PHOTONS:  # before math.comb, and before a build that loops once per photon
+            raise ResourceLimitError(f"n = {n} photons exceed the cap of {_MAX_PHOTONS}")
         size = math.comb(m, n) if collision_free_only else math.comb(m + n - 1, n)
         if size > MAX_OUTCOMES:
             raise ResourceLimitError(f"|Phi| = {size} exceeds the cap of {MAX_OUTCOMES}")
+        if n * size > _MAX_ROW_ENTRIES:
+            raise ResourceLimitError(f"n |Phi| = {n * size} row entries exceed the cap of {_MAX_ROW_ENTRIES}")
         self.m, self.rows = m, _sorted_rows(m, n, int(collision_free_only))
 
     def __len__(self) -> int:
@@ -381,7 +389,7 @@ def phi_size_bound(n: int, nu: float, c: float) -> float:
 
 
 @dataclass(frozen=True)
-class BosonEnsemble:
+class BosonEnsemble(_Sweep):
     """Ensemble of Haar-interferometer boson-sampling instances at fixed (n, m)."""
 
     n: int
@@ -401,23 +409,16 @@ class BosonEnsemble:
     def instance(self, i: int) -> BosonInstance:
         return BosonInstance.haar(self.n, self.m, stream_rng(self.seed, i))
 
-    def instance_distribution(self, i: int) -> ProbVec:
-        return boson_distribution(self.instance(i))[0]
+    def _kernel(self):
+        """The batch size and rows(streams, k) kernel of a sweep, with Phi and its denominators built once.
 
-    def distributions(self, count: int):
-        """instance_distribution(i) for i = 0 ... count-1, in index order, with the same bits.
-
-        Phi and its denominators are built once.  Instances are simulated
-        max(1, _CHUNK_ENTRIES // (n |Phi| + m^2)) at a time by `qsim._batched`,
-        so a batch's index rows and unitaries stay within _CHUNK_ENTRIES
-        entries: one QR call factors the batch's Ginibre stack and one Ryser
-        pass serves all its outcomes.
+        A batch of max(1, _CHUNK_ENTRIES // (n |Phi| + m^2)) instances keeps its
+        index rows and unitaries within _CHUNK_ENTRIES entries.
         """
-        outcomes = OutcomeSpace(self.m, self.n)
-        rows, denom = outcomes.rows, _factorials(outcomes.rows)
-        size = max(1, _CHUNK_ENTRIES // (rows.size + self.m**2))
+        rows = OutcomeSpace(self.m, self.n).rows
+        denom = _factorials(rows)
 
-        def batch(streams, k):
+        def kernel(streams, k):
             return _probabilities(_haar_from_ginibre(*_ginibre(streams, k, (self.m, self.m))), rows, denom)
 
-        return _batched(self.seed, count, size, batch)
+        return max(1, _CHUNK_ENTRIES // (rows.size + self.m**2)), kernel

@@ -37,7 +37,7 @@ from .bounds import (
     vv_lower_bound,
     vv_upper_bound,
 )
-from .boson import BosonEnsemble, boson_distribution, bs_flatness_tail_bound
+from .boson import BosonEnsemble, OutcomeSpace, bs_flatness_tail_bound
 from .certtest import ADVERSARIES, CertificationTester, TesterConfig, empirical_sample_complexity
 from .distvec import ProbVec, l1_distance, lp_quasinorm, min_entropy, renyi_entropy, truncated_core
 from .errors import MAX_DRAWS, MAX_QUBITS, InvalidParameterError, ResourceLimitError
@@ -194,14 +194,13 @@ def cmd_simulate(args):
     if args.csv and args.ensemble != "boson":
         raise InvalidParameterError("--csv applies to the boson ensemble only")
     ens = _make_ensemble(args)
+    dist = ens.instance_distribution(0)
     if args.csv:
-        dist, outcomes = boson_distribution(ens.instance(0))
         lines = ["occupation,probability"]
         # a label with a count above 9 holds commas, so it is quoted and its row still has two fields
         lines += [f'"{occ}",{prob}' if "," in occ else f"{occ},{prob}"
-                  for occ, prob in zip(outcomes.labels(), join_reprs(dist.entries).split(", "))]
+                  for occ, prob in zip(OutcomeSpace(ens.m, ens.n).labels(), join_reprs(dist.entries).split(", "))]
         return "\n".join(lines) + "\n"
-    dist = ens.instance_distribution(0)
     return dist.to_bytes() if args.out and args.out.endswith(".pvec") else dist.to_json()
 
 

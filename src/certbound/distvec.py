@@ -282,7 +282,4 @@ def min_entropy(v: ProbVec) -> float:
     """-log2 of the largest entry."""
     if not v.normalized:
         raise InvalidParameterError("min_entropy requires a normalized vector")
-    m = float(v.entries.max())
-    if m <= 0:
-        raise InvalidParameterError("all-zero vector has no min-entropy")
-    return 0.0 - math.log2(m)  # +0.0 for a point mass, where -log2(1.0) is -0.0
+    return 0.0 - math.log2(float(v.entries.max()))  # +0.0 for a point mass, where -log2(1.0) is -0.0

@@ -9,9 +9,11 @@ An ensemble (qsim.CircuitEnsemble, boson.BosonEnsemble) is an object with
 - `kind`, its name, and `seed`, the seed that drives it;
 - `sample_space_size`, the number of outcomes of every instance.
 
-Both ensembles' `distributions` run one batch loop, `qsim._batched`.  Each
-check sweeps instances 0 ... N-1 once, in index order, through
-`distributions`, and instance i always uses RNG stream (seed, i), so
+Both ensembles take `instance_distribution` and `distributions` from one
+sweep, `qsim._Sweep`, and supply only a kernel factory: a batch size and a
+kernel that simulates a batch of instances from their streams.  Each check
+sweeps instances 0 ... N-1 once, in index order, through `distributions`,
+and instance i always uses RNG stream (seed, i), alone or in a batch, so
 estimates are bit-for-bit reproducible from the seed alone.
 """
 

@@ -12,14 +12,15 @@ broadcast matmul from one complex state buffer into another, allocated once.
 `_row_probabilities` is the one place where |a|^2 is formed, as re^2 + im^2
 in place, so IQP and Haar-state simulation allocates no complex array at all.
 
-Every ensemble, here and in `boson`, sweeps through one batch loop,
-`_batched`, which hands a kernel each batch's streams and yields its rows.
-`CircuitEnsemble._rows` is the one place that picks a simulator by kind, and
-`instance_distribution(i)` is that kernel fed the one stream (seed, i).  An
-IQP or Haar-state batch of _BATCH_ENTRIES >> n instances takes one phase
-build or `_ginibre` draw, two FWHTs and one normalization; IQP weights are
-drawn as one stack by `_random_weights`, and `IqpWeights.random` is that call
-with one stream.  The single-instance functions are the same kernels with one row.
+Every ensemble, here and in `boson`, takes `instance_distribution(i)` and
+`distributions(count)` from one sweep, `_Sweep`, and supplies a kernel
+factory `_kernel()`: a batch size and a kernel rows(streams, k) that
+simulates one row per stream.  Instance i is that kernel fed stream (seed, i),
+alone or in a batch; `CircuitEnsemble._kernel` is the one place that picks
+a simulator by kind.  An IQP or Haar-state batch of _BATCH_ENTRIES >> n
+instances takes one phase build or `_ginibre` draw, two FWHTs and one
+normalization; IQP weights are drawn as one stack by `_random_weights`, and
+`IqpWeights.random` is that call with one stream.
 """
 
 from __future__ import annotations
@@ -97,8 +98,29 @@ def _random_weights(n: int, rngs) -> np.ndarray:
     return np.triu(w) + np.triu(w, 1).swapaxes(1, 2)
 
 
+class _Sweep:
+    """The sweep of every ensemble (see above); a subclass supplies `seed` and `_kernel()`."""
+
+    def instance_distribution(self, i: int) -> ProbVec:
+        """Output distribution of the `i`-th member (reproducible); any i >= 0, 2^32 and beyond too."""
+        return ProbVec(self._kernel()[1]([stream_rng(self.seed, i)], 1)[0])
+
+    def distributions(self, count: int):
+        """instance_distribution(i) for i = 0 ... count-1, in index order, with the same bits, a batch at a time.
+
+        A stream is made as its instance draws (a list of a Haar n=4 batch's 1 024 streams cost ~1.8 MB of peak
+        RSS), and a batch's rows are dropped before the next is built, so no yielded ProbVec is written again.
+        """
+        size, rows = self._kernel()
+        for start in range(0, count, size):
+            batch = range(start, min(start + size, count))
+            probs = rows(stream_rngs(self.seed, batch), len(batch))
+            yield from map(ProbVec, probs)
+            del probs  # before the next batch is built
+
+
 @dataclass(frozen=True)
-class CircuitEnsemble:
+class CircuitEnsemble(_Sweep):
     """Descriptor for a random-circuit ensemble at fixed qubit count."""
 
     kind: str
@@ -118,42 +140,20 @@ class CircuitEnsemble:
     def sample_space_size(self) -> int:
         return 2**self.n
 
-    def instance_distribution(self, instance: int) -> ProbVec:
-        """Output distribution of the `instance`-th member (reproducible)."""
-        return ProbVec(self._rows([stream_rng(self.seed, instance)], 1)[0])
-
-    def distributions(self, count: int):
-        """instance_distribution(i) for i = 0 ... count-1, in index order, with the same bits.
+    def _kernel(self):
+        """The batch size and rows(streams, k) kernel of a sweep (no IqpWeights per instance).
 
         IQP and Haar-state instances are simulated max(1, _BATCH_ENTRIES >> n)
         at a time.  A local random circuit is a batch of its own: its gate
         sites differ per instance, so a batch would only loop over circuits,
         and batches of 16 ran the n=10, depth-60 sweep ~4% slower.
         """
-        size = 1 if self.kind == "local_random" else max(1, _BATCH_ENTRIES >> self.n)
-        return _batched(self.seed, count, size, self._rows)
-
-    def _rows(self, streams, k: int):
-        """The distributions of the k instances drawn from `streams`, one row each (no IqpWeights per instance)."""
+        n, size = self.n, max(1, _BATCH_ENTRIES >> self.n)
         if self.kind == "iqp":
-            return _iqp_probabilities(_random_weights(self.n, streams))
+            return size, lambda streams, k: _iqp_probabilities(_random_weights(n, streams))
         if self.kind == "haar_state":
-            return _row_probabilities(*_ginibre(streams, k, (2**self.n,)))
-        return [_local_random_probabilities(self.n, self.depth, rng) for rng in streams]
-
-
-def _batched(seed: int, count: int, size: int, rows):
-    """A ProbVec of each row of rows(streams, k), for instances 0 ... count-1 in batches of `size`.
-
-    Each stream is made when its instance draws and dropped after it (a list of
-    a Haar n=4 batch's 1 024 streams cost ~1.8 MB of peak RSS), and each batch's
-    fresh rows are dropped before the next is built, so no yielded ProbVec is written again.
-    """
-    for start in range(0, count, size):
-        batch = range(start, min(start + size, count))
-        probs = rows(stream_rngs(seed, batch), len(batch))
-        yield from map(ProbVec, probs)
-        del probs  # before the next batch is built
+            return size, lambda streams, k: _row_probabilities(*_ginibre(streams, k, (2**n,)))
+        return 1, lambda streams, k: [_local_random_probabilities(n, self.depth, rng) for rng in streams]
 
 
 def _check_qubits(n: int):

@@ -158,6 +158,34 @@ class TestEnumeratePhi:
         with pytest.raises(ResourceLimitError):
             enumerate_phi(100, 10)
 
+    @pytest.mark.parametrize(
+        "m, n, free, message",
+        [
+            (2, 10**5, False, "n = 100000 photons exceed the cap of 1000"),  # 10^5 x 100 001 rows, ~10 GB
+            (1, 10**5, False, "n = 100000 photons exceed the cap of 1000"),  # one outcome
+            (2, 10**5, True, "n = 100000 photons exceed the cap of 1000"),  # no outcome
+            (2, 4000, False, "n = 4000 photons exceed the cap of 1000"),
+            (2, 1001, False, "n = 1001 photons exceed the cap of 1000"),
+            (3, 252, False, r"n \|Phi\| = 8097012 row entries exceed the cap of 8000000"),
+            (6, 30, False, r"n \|Phi\| = 9738960 row entries exceed the cap of 8000000"),
+        ],
+    )
+    def test_photons_and_row_entries_are_capped_before_the_build(self, m, n, free, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=message):
+                OutcomeSpace(m, n, free)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_spaces_at_the_caps_build(self):
+        # the most photons, the most row entries, and the largest spaces of ensembles that sweep
+        for m, n, size in [(2, 1000, 1001), (1, 1000, 1), (3, 250, 31626), (39, 5, 962598), (180, 3, 988260)]:
+            assert OutcomeSpace(m, n).rows.shape == (size, n)
+        assert len(OutcomeSpace(2, 1000, True)) == 0
+
 
 class TestPermanent:
     def test_identity(self):
@@ -232,6 +260,9 @@ class TestBosonDistribution:
         us = submatrix(inst, occ)
         assert us.shape == (3, 3)
         assert np.array_equal(us[0], us[1])  # repeated row
+        for s in ((2, 0, 1, 0), (2, 0, 1, 1, 0)):  # 4 modes, or 4 photons
+            with pytest.raises(InvalidParameterError, match="occupation does not match the instance"):
+                submatrix(inst, ModeOccupation(s))
 
 
 class TestCollisionWeight:
@@ -326,6 +357,11 @@ class TestTrivialPermanentBound:
             x = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
             assert trivial_permanent_bound(x) >= abs(permanent(x)) ** 2
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_non_square_refused(self, shape):
+        with pytest.raises(InvalidParameterError, match="need a square matrix"):
+            trivial_permanent_bound(np.ones(shape))
+
 
 class TestFlatnessTailBound:
     def test_divergence_guard(self):
@@ -348,6 +384,14 @@ class TestFlatnessTailBound:
             bs_flatness_tail_bound(1, 10)
         with pytest.raises(InvalidParameterError):
             bs_flatness_tail_bound(4, 100, c=0.0)
+        for n, c in ((0, 1.0), (3, -0.5)):
+            with pytest.raises(InvalidParameterError, match="need n >= 1 and c >= 0"):
+                phi_size_bound(n, 2.0, c)
+
+    def test_bound_past_e700_is_inf(self):
+        # at n = 100, m = n^3 the geometric series converges (x^2 ~ 86), but the log of the bound is ~1 100
+        assert bs_flatness_tail_bound(60, 60**3) < math.inf
+        assert bs_flatness_tail_bound(100, 100**3) == math.inf
 
     @pytest.mark.parametrize("c, C", [(math.nan, 0.0), (1.0, math.nan)])
     def test_nan_constants_rejected(self, c, C):
@@ -374,6 +418,19 @@ class TestBosonEnsemble:
     def test_refuses_a_unitary_over_the_cap(self):
         with pytest.raises(ResourceLimitError, match="unitary exceeds the cap"):
             BosonEnsemble(1, math.isqrt(MAX_OUTCOMES) + 1, seed=0)
+
+    def test_instances_skip_the_checked_instance(self, monkeypatch):
+        # instance i is a batch of one of the sweep's kernel: no BosonInstance, so no second unitarity check
+        e = BosonEnsemble(2, 5, seed=3)
+        want = [p.entries.tobytes() for p in e.distributions(3)]
+
+        def refuse(*args):
+            raise AssertionError("an ensemble path went through BosonInstance or boson_distribution")
+
+        monkeypatch.setattr(BosonInstance, "__post_init__", refuse)
+        monkeypatch.setattr(boson, "boson_distribution", refuse)
+        assert [e.instance_distribution(i).entries.tobytes() for i in range(3)] == want
+        assert [p.entries.tobytes() for p in e.distributions(3)] == want
 
     def test_a_lone_last_row_keeps_its_bits(self, monkeypatch):
         # 3 instances of 126 outcomes a batch in Ryser chunks of 29 rows: 378 = 13 x 29 + 1, so the batch's

@@ -125,6 +125,10 @@ class TestNorm23Bounds:
         with pytest.raises(InvalidParameterError, match="eps must be >= 0"):
             norm23_bounds(ProbVec.uniform(8), eps)
 
+    def test_unnormalized_rejected(self):
+        with pytest.raises(InvalidParameterError, match="p must be normalized"):
+            norm23_bounds(ProbVec(np.array([0.3, 0.3])), 0.1)
+
     def test_sandwich_on_corpus(self):
         for v in corpus(400, seed=5, dims=(4, 16, 64, 256)):
             for eps in (0.0, 0.1):
@@ -377,6 +381,9 @@ class TestBosonBounds:
             smin_boson(2, 8, 0.5, 0.05, 0.0)
         with pytest.raises(InvalidParameterError):
             smin_boson(2, 8, 0.5, 0.05, 0.25, C=-0.1)
+        for delta in (0.0, 1.5, math.nan):
+            with pytest.raises(InvalidParameterError, match=r"delta must be in \(0, 1\]"):
+                smin_boson(2, 8, delta, 0.05, 0.25)
 
     def test_full_space_variant(self):
         rep = smin_boson_full_space(5, 0.1)

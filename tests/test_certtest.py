@@ -328,6 +328,11 @@ class TestChunkedSampling:
         with pytest.raises(InvalidParameterError):
             tester.accept_rate(p, 0, stream=1)
 
+    def test_accept_rate_needs_the_target_dimension(self):
+        tester = CertificationTester(ProbVec.uniform(4), TesterConfig(eps=0.5, samples=10))
+        with pytest.raises(InvalidParameterError, match="dimension mismatch"):
+            tester.accept_rate(ProbVec.uniform(8), 300, stream=1)
+
 
 def _pairwise_shift_loop(p, distance):
     """Oracle: pairwise_shift_adversary as a pair-by-pair loop."""
@@ -405,6 +410,8 @@ class TestAdversaries:
             pairwise_shift_adversary(ProbVec(np.array([0.0, 1.0])), 0.5)
         with pytest.raises(InvalidParameterError):
             tail_deletion_adversary(p, 2.5)
+        with pytest.raises(InvalidParameterError, match="cannot delete a full unit of weight"):
+            tail_deletion_adversary(ProbVec.uniform(4), 2.0)
         with pytest.raises(InvalidParameterError):
             max_inflation_adversary(p, 0.5)
 
@@ -491,6 +498,21 @@ class TestEmpiricalSampleComplexity:
         tester = CertificationTester(p, replace(cfg, samples=s))
         assert tester.accept_rate(p, 300, stream=1) >= 2 / 3
         assert tester.accept_rate(q, 300, stream=2) < 1 / 3
+
+    def test_a_size_failing_completeness_and_a_refinement_that_stops_at_a_gap_of_1(self, monkeypatch):
+        # size 2 fails and 4 passes; refinement's first point, 3, fails completeness (accept rate 0.647 < 2/3 on
+        # the target), so no soundness run is drawn there, and with lo = 3, hi = 4 it stops after 1 of its 3 steps
+        runs, accept_rate = [], CertificationTester.accept_rate
+
+        def recorded(self, q, trials, stream):
+            runs.append((self.cfg.samples, stream, accept_rate(self, q, trials, stream)))
+            return runs[-1][2]
+
+        monkeypatch.setattr(CertificationTester, "accept_rate", recorded)
+        cfg = TesterConfig(eps=0.3, samples=2, seed=3, calibration_runs=100)
+        assert empirical_sample_complexity(ProbVec.uniform(4), ProbVec.point_mass(4), cfg, trials=300) == 4
+        assert [(s, stream) for s, stream, _ in runs if s != 2] == [(4, 1), (4, 2), (3, 1)]
+        assert runs[-1][2] < 2 / 3
 
     def test_bounded_support_independent_of_ambient_dimension(self):
         # support-2 target: measured complexity does not grow with ambient d

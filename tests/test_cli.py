@@ -238,7 +238,8 @@ class TestSimulate:
         # instance needs m >= n, and the 92 378 outcomes of (10, 10) take seconds to simulate.
         space = OutcomeSpace(3, 10)
         dist = ProbVec(np.arange(1.0, len(space) + 1) / math.fsum(range(1, len(space) + 1)))
-        monkeypatch.setattr(cli, "boson_distribution", lambda inst: (dist, space))
+        monkeypatch.setattr(BosonEnsemble, "instance_distribution", lambda self, i: dist)
+        monkeypatch.setattr(cli, "OutcomeSpace", lambda m, n: space)
         code, out, _ = run(capsys, "simulate", "boson", "--n", "2", "--m", "3", "--csv")
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
@@ -635,6 +636,13 @@ class TestParserGuards:
         code, out, err = run(capsys, name, f"{flag}={bad}")
         assert code == 1 and out == ""
         assert err == f"error: argument {flag}: not a finite float: {bad!r}\n"
+
+    @pytest.mark.parametrize("name, flag", _FLOAT_FLAGS)
+    def test_float_flag_rejects_a_non_number(self, capsys, name, flag):
+        # `bounds --eps abc` among them: one line, exit 1
+        code, out, err = run(capsys, name, f"{flag}=abc")
+        assert code == 1 and out == ""
+        assert err == f"error: argument {flag}: invalid float value: 'abc'\n"
 
     def test_kind_choices_are_the_bounds_table(self):
         (kind,) = [a for a in _subcommands()["bounds"]._actions if a.dest == "kind"]

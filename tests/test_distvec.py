@@ -63,6 +63,8 @@ class TestProbVec:
         assert pm.entries[2] == 1.0 and pm.entries.sum() == 1.0
         with pytest.raises(InvalidParameterError):
             ProbVec.point_mass(4, 4)
+        with pytest.raises(InvalidParameterError, match="dimension must be >= 1"):
+            ProbVec.uniform(0)
 
     def test_json_roundtrip(self):
         v = ProbVec(np.array([0.25, 0.5, 0.25]))
@@ -454,6 +456,10 @@ class TestEntropies:
         v = ProbVec(np.array([0.5, 0.5, 0.0]))
         assert renyi_entropy(v, math.inf) == pytest.approx(1.0, abs=1e-12)
 
+    def test_renyi_0_is_log2_of_the_support(self):
+        assert renyi_entropy(ProbVec(np.array([0.25, 0.0, 0.5, 0.25, 0.0])), 0) == math.log2(3)
+        assert renyi_entropy(ProbVec.uniform(8), 0.0) == 3.0
+
     def test_renyi_2_matches_direct_sum(self):
         rng = stream_rng(11)
         x = rng.exponential(size=256)
@@ -479,6 +485,12 @@ class TestEntropies:
     def test_min_entropy_examples(self):
         assert min_entropy(ProbVec.uniform(2**5)) == pytest.approx(5.0, abs=1e-12)
         assert min_entropy(ProbVec(np.array([1.0, 0.0]))) == 0.0
+
+    @pytest.mark.parametrize("entries", [[0.3, 0.3], [0.0, 0.0]])
+    def test_min_entropy_needs_a_normalized_vector(self, entries):
+        # an all-zero vector is one such: it sums to 0, so no entry-is-zero check is left to reach
+        with pytest.raises(InvalidParameterError, match="min_entropy requires a normalized vector"):
+            min_entropy(ProbVec(np.array(entries)))
 
     def test_min_entropy_matches_renyi_inf(self):
         rng = stream_rng(13)

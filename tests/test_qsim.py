@@ -60,6 +60,8 @@ class TestIqpWeights:
             IqpWeights(2, (0.0,), np.array([[0.0, 0.5], [0.5, 0.0]]))  # outside angle set
         with pytest.raises(InvalidParameterError):
             IqpWeights(2, (0.0,), np.zeros((3, 3)))
+        with pytest.raises(InvalidParameterError, match="n must be >= 1"):
+            IqpWeights(n=0, angle_set=(0.0,), w=np.zeros((0, 0)))
 
     def test_random_is_symmetric_and_in_set(self):
         w = IqpWeights.random(6, stream_rng(1))
@@ -327,6 +329,10 @@ class TestHaar:
     def test_seed_reproducible(self):
         assert np.array_equal(haar_unitary(8, stream_rng(123)), haar_unitary(8, stream_rng(123)))
 
+    def test_dimension_below_1_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="d must be >= 1"):
+            haar_unitary(0, stream_rng(0))
+
 
 class TestHaarStateDistribution:
     def test_normalized(self):
@@ -561,6 +567,10 @@ class TestCircuitEnsemble:
             CircuitEnsemble(kind="bogus", n=3, seed=0)
         with pytest.raises(ResourceLimitError):
             CircuitEnsemble(kind="iqp", n=40, seed=0)
+        with pytest.raises(InvalidParameterError, match="depth must be >= 0"):
+            CircuitEnsemble(kind="local_random", n=3, seed=0, depth=-1)
+        with pytest.raises(InvalidParameterError, match="depth must be >= 0"):
+            local_random_circuit_distribution(3, -1, stream_rng(0))
 
     @pytest.mark.parametrize("kind", ["iqp", "haar_state"])
     def test_depth_only_for_local_random(self, kind):
@@ -641,13 +651,13 @@ class TestEnsemblesMatchThePublicFunctions:
                 assert np.allclose(ensemble.instance(i).U, oracle, rtol=0, atol=1e-13)
 
     def test_one_batch_loop_in_the_package(self):
-        # every sweep makes its streams in qsim._batched, and no Ryser sum is left to a BLAS matrix-vector product
+        # every sweep makes its streams in qsim._Sweep.distributions, and no Ryser sum is left to a BLAS matrix-vector product
         src = Path(qsim.__file__).parent
         texts = {f.name: f.read_text() for f in sorted(src.glob("*.py"))}
         assert [name for name, text in texts.items() if name != "rng.py" for _ in range(text.count("stream_rngs("))] == [
             "qsim.py"
         ]
-        assert "stream_rngs(" in inspect.getsource(qsim._batched)
+        assert "stream_rngs(" in inspect.getsource(qsim._Sweep.distributions)
         assert not any("@ sign" in text for text in texts.values())
 
 
@@ -701,3 +711,14 @@ class TestStreamRngs:
     def test_ids_beyond_one_word_are_refused(self):
         with pytest.raises(InvalidParameterError, match="ids must be in"):
             stream_rngs(0, range(2**32 - 1, 2**32 + 1))
+
+    @pytest.mark.parametrize("kind, size", [("iqp", 3), ("haar_state", 4), ("local_random", 3), ("boson", (2, 5))])
+    def test_an_instance_beyond_one_word_is_its_stream(self, kind, size):
+        # a sweep's batched streams stop at 2^32 ids, but instance_distribution takes any index through stream_rng
+        if kind == "boson":
+            ensemble = BosonEnsemble(*size, seed=9)
+        else:
+            ensemble = CircuitEnsemble(kind=kind, n=size, seed=9, depth=6 if kind == "local_random" else 0)
+        for i in (2**32, 2**40 + 3):
+            want = _public_distribution(kind, size, stream_rng(9, i)).entries.tobytes()
+            assert ensemble.instance_distribution(i).entries.tobytes() == want
