@@ -30,7 +30,7 @@ from typing import ClassVar
 import numpy as np
 
 from .distvec import ProbVec, _fsum
-from .errors import InvalidParameterError, ResourceLimitError, MAX_OUTCOMES, read_instance_json
+from .errors import InvalidParameterError, ResourceLimitError, MAX_OUTCOMES, check_real, read_instance_json
 from .qsim import _Sweep, _check_unitary, _ginibre, _haar_from_ginibre, haar_unitary
 from .rng import stream_rng
 
@@ -319,8 +319,7 @@ def gaussian_repeated_sample(occ: ModeOccupation, n: int, sigma: float, rng: np.
     parts mean 0, s.d. sigma) has row j repeated s-tilde_j times, where
     S-tilde drops the zero occupations of occ.
     """
-    if sigma <= 0:
-        raise InvalidParameterError("sigma must be > 0")
+    check_real("sigma", sigma, 0, ends="(]")
     if occ.n != n:
         raise InvalidParameterError("occupation must sum to n")
     tilde = [x for x in occ.s if x > 0]
@@ -330,10 +329,10 @@ def gaussian_repeated_sample(occ: ModeOccupation, n: int, sigma: float, rng: np.
 
 def gaussian_concentration_bound(n: int, sigma: float, xi: float) -> float:
     """Pr[max entry magnitude >= xi] <= 1 - (1 - erfc(xi / (sqrt(2) sigma)))^(n^2)."""
-    if xi < 0:
-        raise InvalidParameterError("xi must be >= 0")
-    if sigma <= 0 or n < 1:
-        raise InvalidParameterError("need sigma > 0 and n >= 1")
+    check_real("xi", xi, 0)
+    check_real("sigma", sigma, 0, ends="(]")
+    if n < 1:
+        raise InvalidParameterError("n must be >= 1")
     e = math.erfc(xi / (math.sqrt(2.0) * sigma))
     return 1.0 - (1.0 - e) ** (n * n)
 
@@ -382,8 +381,9 @@ def bs_flatness_tail_bound(n: int, m: int, c: float = 1.0, C: float = 0.0) -> fl
 
 def phi_size_bound(n: int, nu: float, c: float) -> float:
     """(2 (c+1) e)^n n^((nu-1) n), the closed-form cap on |Phi| used by the tail bound."""
-    if n < 1 or c < 0:
+    if not (n >= 1 and c >= 0):  # written so that a NaN c fails
         raise InvalidParameterError("need n >= 1 and c >= 0")
+    check_real("nu", nu, -math.inf, math.inf, "()")
     log_val = n * math.log(2.0 * (c + 1.0) * math.e) + (nu - 1.0) * n * math.log(n)
     return math.exp(log_val) if log_val <= 700 else math.inf
 

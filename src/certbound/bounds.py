@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .distvec import ProbVec, _fsum, lp_quasinorm, min_entropy, truncated_core
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_real
 
 UNSPECIFIED_CONSTANT_NOTE = "up to unspecified universal constant"
 
@@ -62,24 +62,14 @@ class BoundReport:
         )
 
 
-def _check_eps(eps: float):
-    if not 0 < eps < 1:
-        raise InvalidParameterError("eps must be in (0, 1)")
-
-
 def _check_qubits(n: int):
     if not n >= 1:
         raise InvalidParameterError("n must be >= 1")
 
 
-def _check_constant(name: str, c: float):
-    if not c > 0:
-        raise InvalidParameterError(f"{name} must be > 0")
-
-
 def _check_vv(p: ProbVec, eps: float, name: str, c: float):
-    _check_eps(eps)
-    _check_constant(name, c)
+    check_real("eps", eps, 0, 1, "()")
+    check_real(name, c, 0, ends="(]")
     if not p.normalized:
         raise InvalidParameterError("p must be normalized")
 
@@ -118,8 +108,7 @@ def norm23_bounds(p: ProbVec, eps: float = 0.0) -> tuple[float, float]:
     lower = 2^(H/2) (1 - eps - 2^-H)^(3/2), clamped at 0
     upper = (1 - 2^-H) sqrt(support of the truncated core)
     """
-    if not eps >= 0:
-        raise InvalidParameterError("eps must be >= 0")
+    check_real("eps", eps, 0)
     if not p.normalized:
         raise InvalidParameterError("p must be normalized")
     h = min_entropy(p)
@@ -151,11 +140,9 @@ def smin_from_min_entropy(h_inf: float, eps: float, c2: float = 1.0) -> BoundRep
 
     value = c2 / eps^2 * 2^(h/2) * (1 - 2 eps - 2^-h)^(3/2), clamped at 0.
     """
-    if not h_inf >= 0:
-        raise InvalidParameterError("h_inf must be >= 0")
-    if not 0 < eps < 0.5:
-        raise InvalidParameterError("eps must be in (0, 1/2)")
-    _check_constant("c2", c2)
+    check_real("h_inf", h_inf, 0)
+    check_real("eps", eps, 0, 0.5, "()")
+    check_real("c2", c2, 0, ends="(]")
     paren = 1.0 - 2.0 * eps - 2.0**-h_inf
     value = 0.0 if paren <= 0 else c2 / eps**2 * 2.0 ** (h_inf / 2.0) * paren**1.5
     return BoundReport(
@@ -167,8 +154,7 @@ def smin_from_min_entropy(h_inf: float, eps: float, c2: float = 1.0) -> BoundRep
 
 def smin_iqp(n: int, delta: float, eps: float, c2: float = 1.0) -> BoundReport:
     """IQP sample-complexity lower bound via H_inf >= (n + log2(delta/3)) / 2."""
-    if not 0 < delta <= 1:
-        raise InvalidParameterError("delta must be in (0, 1]")
+    check_real("delta", delta, 0, 1, "(]")
     h = max(0.0, 0.5 * (n + math.log2(delta / 3.0)))
     rep = smin_from_min_entropy(h, eps, c2)
     _check_qubits(n)
@@ -177,10 +163,8 @@ def smin_iqp(n: int, delta: float, eps: float, c2: float = 1.0) -> BoundReport:
 
 def smin_design(n: int, delta: float, eps: float, eps_tilde: float = 0.0, c2: float = 1.0) -> BoundReport:
     """Relative approximate-2-design bound via H_inf >= (n + log2(delta / (2 (1+eps_tilde)))) / 2."""
-    if not 0 < delta <= 1:
-        raise InvalidParameterError("delta must be in (0, 1]")
-    if not eps_tilde >= 0:
-        raise InvalidParameterError("eps_tilde must be >= 0")
+    check_real("delta", delta, 0, 1, "(]")
+    check_real("eps_tilde", eps_tilde, 0)
     h = max(0.0, 0.5 * (n + math.log2(delta / (2.0 * (1.0 + eps_tilde)))))
     rep = smin_from_min_entropy(h, eps, c2)
     _check_qubits(n)
@@ -206,14 +190,11 @@ def smin_boson(
     """
     if m < n or n < 1:
         raise InvalidParameterError("need m >= n >= 1")
-    if not 0 < delta <= 1:
-        raise InvalidParameterError("delta must be in (0, 1]")
-    if not 0 < zeta < 1:
-        raise InvalidParameterError("zeta must be in (0, 1)")
-    if not C >= 0:
-        raise InvalidParameterError("C must be >= 0")
-    _check_eps(eps)
-    _check_constant("c2", c2)
+    check_real("delta", delta, 0, 1, "(]")
+    check_real("zeta", zeta, 0, 1, "()")
+    check_real("C", C, 0)
+    check_real("eps", eps, 0, 1, "()")
+    check_real("c2", c2, 0, ends="(]")
     # log2((m^n/n!) (1+C) (n!)^2 (n+1) m^-2n) = log2(1+C) + log2(n!) + log2(n+1) - n log2(m)
     log_inner = math.log2(1.0 + C) + math.lgamma(n + 1) / math.log(2) + math.log2(n + 1) - n * math.log2(m)
     h = max(0.0, 0.5 * (2.0 * math.log2(1.0 - zeta) + math.log2(delta) - log_inner))

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distvec import ProbVec, _fsum, l1_distance, truncate_tail, truncated_core
-from .errors import MAX_DRAWS, InvalidParameterError, ResourceLimitError
+from .errors import MAX_DRAWS, InvalidParameterError, check_draws, check_real
 from .qsim import inverse_cdf
 from .rng import stream_rng
 
@@ -59,16 +59,9 @@ class TesterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.eps < 1:
-            raise InvalidParameterError("eps must be in (0, 1)")
-        if self.samples < 1:
-            raise InvalidParameterError("samples must be >= 1")
-        if self.samples > MAX_DRAWS:
-            raise ResourceLimitError(f"samples must be <= {MAX_DRAWS}")
-        if self.calibration_runs < 100:
-            raise InvalidParameterError("calibration_runs must be >= 100")
-        if self.calibration_runs > MAX_DRAWS:
-            raise ResourceLimitError(f"calibration_runs must be <= {MAX_DRAWS}")
+        check_real("eps", self.eps, 0, 1, "()")
+        check_draws("samples", self.samples)
+        check_draws("calibration_runs", self.calibration_runs, 100)
 
 
 @dataclass(frozen=True)
@@ -183,20 +176,12 @@ class CertificationTester:
         """Monte-Carlo acceptance rate on i.i.d. sample sets drawn from q."""
         if q.dim != self.p.dim:
             raise InvalidParameterError("dimension mismatch")
-        if trials < 1:
-            raise InvalidParameterError("trials must be >= 1")
-        if trials > MAX_DRAWS:
-            raise ResourceLimitError(f"trials must be <= {MAX_DRAWS}")
+        check_draws("trials", trials)
         rng = stream_rng(self.cfg.seed, 0x7E57, stream)
         return float(np.mean(self._combined(self._draw_components(q, rng, trials)) <= self.threshold))
 
 
 # -- adversary library ----------------------------------------------------
-
-
-def _check_distance(distance: float):
-    if not 0 <= distance <= 2:
-        raise InvalidParameterError("distance must be in [0, 2]")
 
 
 def pairwise_shift_adversary(p: ProbVec, distance: float) -> ProbVec:
@@ -208,7 +193,7 @@ def pairwise_shift_adversary(p: ProbVec, distance: float) -> ProbVec:
     cumsum of [distance/2, -q[0], -q[2], ...], so it has the bits of
     subtracting pair by pair.
     """
-    _check_distance(distance)
+    check_real("distance", distance, 0, 2)
     q = p.entries.copy()
     even = q[0 : p.dim - 1 : 2]  # the entries that have a partner
     rest = np.cumsum(np.concatenate(([distance / 2.0], -even)))
@@ -233,7 +218,7 @@ def tail_deletion_adversary(p: ProbVec, distance: float) -> ProbVec:
     `truncate_tail` zeroes the smallest entries whose weight fits; the rest
     of distance/2 comes off the smallest nonzero entry left (ties at lowest index).
     """
-    _check_distance(distance)
+    check_real("distance", distance, 0, 2)
     w = distance / 2.0
     if w >= 1.0:
         raise InvalidParameterError("cannot delete a full unit of weight")
@@ -255,7 +240,7 @@ def tail_deletion_adversary(p: ProbVec, distance: float) -> ProbVec:
 
 def max_inflation_adversary(p: ProbVec, distance: float) -> ProbVec:
     """Add distance/2 to the largest outcome, scaling all others down."""
-    _check_distance(distance)
+    check_real("distance", distance, 0, 2)
     t = distance / 2.0
     q = p.entries.copy()
     imax = int(np.argmax(q))
@@ -286,10 +271,7 @@ def empirical_sample_complexity(
     the calibrated test is simultaneously complete (accept rate >= 2/3 on the target) and sound
     (accept rate < 1/3 on the adversary), each estimated from `trials` runs.
     """
-    if trials < 300:
-        raise InvalidParameterError("need at least 300 trials per point")
-    if trials > MAX_DRAWS:
-        raise ResourceLimitError(f"trials must be <= {MAX_DRAWS}")
+    check_draws("trials", trials, 300)
     if l1_distance(p, adversary) <= cfg.eps:
         raise InvalidParameterError("adversary not eps-far from the target")
 

@@ -52,7 +52,10 @@ def _load_dist(spec: str) -> ProbVec:
     builtin = sep and kind in ("uniform", "pointmass")
     path = Path(spec)
     if builtin:
-        d = int(dim)
+        try:
+            d = int(dim)
+        except ValueError:
+            raise InvalidParameterError(f"{spec}: the dimension must be an integer") from None
     elif not path.exists():
         raise InvalidParameterError(f"no such distribution file: {spec}")
     elif path.suffix == ".pvec":
@@ -100,14 +103,18 @@ def _emit(args, payload: str | bytes):
     Path(str(p) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+# the --ensemble names, in the order of their choices, and the kind each one builds
+_ENSEMBLES = {"iqp": "iqp", "haar": "haar_state", "rcs": "local_random", "boson": "boson"}
+
+
 def _make_ensemble(args):
     # --m and --depth default to 0; a set value must be one the ensemble reads
     for flag, owner in (("m", "boson"), ("depth", "rcs")):
         if getattr(args, flag) and args.ensemble != owner:
             raise InvalidParameterError(f"--{flag} applies to the {owner} ensemble only")
-    if args.ensemble == "boson":
+    kind = _ENSEMBLES[args.ensemble]
+    if kind == "boson":
         return BosonEnsemble(n=args.n, m=args.m, seed=args.seed)
-    kind = {"iqp": "iqp", "haar": "haar_state", "rcs": "local_random"}[args.ensemble]
     return CircuitEnsemble(kind=kind, n=args.n, seed=args.seed, depth=args.depth)
 
 
@@ -193,6 +200,8 @@ def cmd_bounds(args):
 def cmd_simulate(args):
     if args.csv and args.ensemble != "boson":
         raise InvalidParameterError("--csv applies to the boson ensemble only")
+    if args.csv and args.out and args.out.endswith(".pvec"):
+        raise InvalidParameterError("--csv writes text, not a .pvec file")
     ens = _make_ensemble(args)
     dist = ens.instance_distribution(0)
     if args.csv:
@@ -304,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, default=0)
 
     def ensemble_args(sp):
-        sp.add_argument("--ensemble", choices=["iqp", "haar", "rcs", "boson"], required=True)
+        sp.add_argument("--ensemble", choices=list(_ENSEMBLES), required=True)
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--m", type=int, default=0, help="modes (boson only)")
         sp.add_argument("--depth", type=int, default=0, help="gate count (rcs only)")
@@ -329,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("simulate", help="write one instance's output distribution")
-    sp.add_argument("ensemble", choices=["iqp", "haar", "rcs", "boson"])
+    sp.add_argument("ensemble", choices=list(_ENSEMBLES))
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, default=0)
     sp.add_argument("--depth", type=int, default=0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_real
 from .floattext import join_reprs
 
 NORMALIZATION_TOL = 1e-9
@@ -224,8 +224,7 @@ def _zero_tail(out: np.ndarray, eps: float) -> None:
     The cut count comes from a sequential cumsum over the sorted values;
     ties at the cut value break at the lowest index.
     """
-    if not eps >= 0:
-        raise InvalidParameterError("eps must be >= 0")
+    check_real("eps", eps, 0)
     ascending = np.sort(out)
     k = int(np.searchsorted(np.cumsum(ascending), eps, side="right"))
     if k == 0:
@@ -269,8 +268,7 @@ def renyi_entropy(v: ProbVec, alpha: float) -> float:
         raise InvalidParameterError("renyi_entropy requires a normalized vector")
     if alpha == 1:
         raise InvalidParameterError("alpha = 1 (Shannon) is out of scope")
-    if not alpha >= 0:
-        raise InvalidParameterError("alpha must be >= 0")
+    check_real("alpha", alpha, 0)
     if math.isinf(alpha):
         return min_entropy(v)
     if alpha == 0:

@@ -1,6 +1,12 @@
-"""Exception types, resource caps and the instance-JSON check shared across the package."""
+"""Exception types, resource caps and the input checks shared across the package.
+
+Each input rule is written once here: `check_draws` holds a draw count to
+[floor, MAX_DRAWS], and `check_real` holds a real parameter to an interval
+in a form that refuses NaN.  `read_instance_json` checks an instance file.
+"""
 
 import json
+import math
 
 
 class CertboundError(Exception):
@@ -22,6 +28,30 @@ MAX_OUTCOMES = 10**6
 # Largest sample size a tester takes, and most calibration runs, Monte-Carlo
 # trials or ensemble instances one call draws.
 MAX_DRAWS = 1 << 20
+
+
+def check_draws(name: str, count: int, floor: int = 1) -> None:
+    """Refuse a count of draws below `floor` (InvalidParameterError) or above MAX_DRAWS (ResourceLimitError)."""
+    if count < floor:
+        raise InvalidParameterError(f"{name} must be >= {floor}")
+    if count > MAX_DRAWS:
+        raise ResourceLimitError(f"{name} must be <= {MAX_DRAWS}")
+
+
+def check_real(name: str, x: float, low: float, high: float = math.inf, ends: str = "[]") -> None:
+    """Refuse, with InvalidParameterError, an x outside the interval from low to high.
+
+    `ends` holds the interval's brackets: "[" or "(" for low, "]" or ")" for
+    high.  Every comparison is one that NaN fails.  The message is
+    `<name> must be >= low` (or `> low`) for the half-line up to +inf
+    included, else `<name> must be in (low, high]` with the brackets of `ends`.
+    """
+    above = x >= low if ends[0] == "[" else x > low
+    below = x <= high if ends[1] == "]" else x < high
+    if not (above and below):
+        if high == math.inf and ends[1] == "]":
+            raise InvalidParameterError(f"{name} must be {'>=' if ends[0] == '[' else '>'} {low:g}")
+        raise InvalidParameterError(f"{name} must be in {ends[0]}{low:g}, {high:g}{ends[1]}")
 
 
 def read_instance_json(text: str, integers: tuple, number_lists: tuple) -> dict:

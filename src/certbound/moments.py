@@ -25,15 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distvec import ProbVec, _fsum, min_entropy
-from .errors import MAX_DRAWS, InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError, check_draws, check_real
 
 
 def _sweep(ensemble, num_instances: int, stat) -> np.ndarray:
     """stat(distribution of instance i) for i = 0 ... num_instances-1, in index order."""
-    if num_instances < 2:
-        raise InvalidParameterError("need at least 2 instances")
-    if num_instances > MAX_DRAWS:
-        raise ResourceLimitError(f"instances must be <= {MAX_DRAWS}")
+    check_draws("instances", num_instances, 2)
     # map drops each distribution once stat returns; a list comprehension's loop variable would keep
     # it alive while the next one is built
     return np.array(list(map(stat, ensemble.distributions(num_instances))))
@@ -97,8 +94,7 @@ def min_entropy_tail_check(ensemble, delta: float, num_instances: int) -> TailCh
 
     The moment sum is estimated from the same instance draw.
     """
-    if not 0 < delta <= 1:
-        raise InvalidParameterError("delta must be in (0, 1]")
+    check_real("delta", delta, 0, 1, "(]")
     entropies, collisions = _sweep(ensemble, num_instances, lambda p: (min_entropy(p), _collision(p))).T
     ms = float(np.mean(collisions))
     bound = 0.5 * (math.log2(delta) - math.log2(ms))
@@ -134,8 +130,7 @@ def anti_concentration_check(ensemble, alpha: float, num_instances: int) -> Anti
     E[Z] is 1/|E| (the tested ensembles are unbiased over outcomes); the
     second moment in the floor is estimated from the same instances.
     """
-    if not 0 < alpha < 1:
-        raise InvalidParameterError("alpha must be in (0, 1)")
+    check_real("alpha", alpha, 0, 1, "()")
     dim = ensemble.sample_space_size
     values = _sweep(ensemble, num_instances, lambda p: p.entries[0])
     mean_z = 1.0 / dim

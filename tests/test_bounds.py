@@ -19,8 +19,10 @@ from certbound import (
     vv_lower_bound,
     vv_upper_bound,
 )
+from certbound.boson import ModeOccupation, gaussian_concentration_bound, gaussian_repeated_sample, phi_size_bound
 from certbound.bounds import UNSPECIFIED_CONSTANT_NOTE, BoundReport
 from certbound.errors import InvalidParameterError
+from certbound.rng import stream_rng
 
 from conftest import corpus, normalized_targets
 
@@ -342,6 +344,21 @@ class TestMinEntropyBounds:
             (lambda: smin_from_min_entropy(math.nan, 0.1), "h_inf must be >= 0"),
             (lambda: smin_design(10, 0.5, 0.1, eps_tilde=math.nan), "eps_tilde must be >= 0"),
             (lambda: smin_boson(3, 30, 0.5, 0.1, 0.25, C=math.nan), "C must be >= 0"),
+            (lambda: smin_boson(3, 30, 0.5, 0.1, math.nan), r"^zeta must be in \(0, 1\)$"),
+            (lambda: smin_boson(3, 30, 0.5, math.nan, 0.25), r"^eps must be in \(0, 1\)$"),
+            (lambda: smin_iqp(10, math.nan, 0.1), r"^delta must be in \(0, 1\]$"),
+            (lambda: smin_from_min_entropy(4.0, math.nan), r"^eps must be in \(0, 0\.5\)$"),
+            (lambda: smin_from_min_entropy(4.0, 0.1, math.nan), "^c2 must be > 0$"),
+            (lambda: vv_upper_bound(_U8, 0.1, math.nan), "^c1 must be > 0$"),
+            (lambda: gaussian_concentration_bound(2, math.nan, 1.0), "^sigma must be > 0$"),
+            (lambda: gaussian_concentration_bound(2, 1.0, math.nan), "^xi must be >= 0$"),
+            (lambda: phi_size_bound(2, math.nan, 1.0), r"^nu must be in \(-inf, inf\)$"),
+            (lambda: phi_size_bound(2, math.inf, 1.0), r"^nu must be in \(-inf, inf\)$"),
+            (lambda: phi_size_bound(2, 3.0, math.nan), "^need n >= 1 and c >= 0$"),
+            (
+                lambda: gaussian_repeated_sample(ModeOccupation((1, 1)), 2, math.nan, stream_rng(0)),
+                "^sigma must be > 0$",
+            ),
         ],
     )
     def test_nan_parameter_rejected(self, bound, message):

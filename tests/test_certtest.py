@@ -37,6 +37,8 @@ class TestTesterConfig:
             TesterConfig(eps=0.5, samples=0)
         with pytest.raises(InvalidParameterError):
             TesterConfig(eps=0.5, samples=10, calibration_runs=50)
+        with pytest.raises(InvalidParameterError, match=r"^eps must be in \(0, 1\)$"):
+            TesterConfig(eps=math.nan, samples=10)
 
     @pytest.mark.parametrize("seed", [1.5, "5", True])
     def test_non_integer_seed_is_refused_not_truncated(self, seed):

@@ -534,6 +534,18 @@ class TestMalformedInput:
     def test_more_photons_than_modes(self, capsys, command):
         assert self.assert_one_line_error(capsys, *command, "--n", "3", "--m", "2") == "error: need m >= n >= 1\n"
 
+    @pytest.mark.parametrize("spec", ["uniform:x", "uniform:", "pointmass:2.5"])
+    def test_builtin_dimension_not_an_integer(self, capsys, spec):
+        err = self.assert_one_line_error(capsys, "norms", "--dist", spec)
+        assert err == f"error: {spec}: the dimension must be an integer\n"
+
+    def test_csv_into_a_pvec_file(self, tmp_path, capsys):
+        # the .pvec reader would refuse the CSV text as a bad blob
+        out_file = tmp_path / "x.pvec"
+        argv = ["simulate", "boson", "--n", "2", "--m", "3", "--csv", "--out", str(out_file)]
+        assert self.assert_one_line_error(capsys, *argv) == "error: --csv writes text, not a .pvec file\n"
+        assert not out_file.exists()
+
     def test_version_exits_0(self, capsys):
         code, out, err = run(capsys, "--version")
         assert code == 0 and out.strip() and err == ""

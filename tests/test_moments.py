@@ -227,6 +227,8 @@ class TestMinEntropyTailCheck:
             min_entropy_tail_check(e, delta=0.0, num_instances=10)
         with pytest.raises(InvalidParameterError):
             min_entropy_tail_check(e, delta=0.5, num_instances=1)
+        with pytest.raises(InvalidParameterError, match=r"^delta must be in \(0, 1\]$"):
+            min_entropy_tail_check(e, delta=math.nan, num_instances=10)
 
 
 class TestAntiConcentration:
@@ -270,3 +272,5 @@ class TestAntiConcentration:
             anti_concentration_check(e, alpha=0.0, num_instances=10)
         with pytest.raises(InvalidParameterError):
             anti_concentration_check(e, alpha=1.0, num_instances=10)
+        with pytest.raises(InvalidParameterError, match=r"^alpha must be in \(0, 1\)$"):
+            anti_concentration_check(e, alpha=math.nan, num_instances=10)
